@@ -15,26 +15,52 @@
 // ensemble; 8 = Fig 11 AnEn adaptive vs random; 9 = Fig 10 full series
 // (every ensemble size x concurrency); 10 = Fig 6 BatchSize x
 // consumer-count grid over the sharded broker; 11 = Fig 8-style
-// weak-scaling sweep across broker batch sizes; 12 = Fig 6 wire-codec
-// ablation (batched broker, JSON vs binary task bodies); 13 = Fig 8-style
+// weak-scaling sweep across broker batch sizes; 13 = Fig 8-style
 // weak-scaling sweep across agent scheduler counts (the multi-scheduler
 // agent over the sharded task store); 14 = live-autotuning ablation (bursty
-// workload, the knob controller vs every static grid setting).
+// workload, the knob controller vs every static grid setting); tune =
+// concurrency autotuning. "all" runs 0-8. An unknown id exits with status 2
+// and lists the valid ones.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+// experimentIDs lists every id -exp accepts besides "all".
+var experimentIDs = []string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "13", "14", "tune"}
+
+// parseExperiments turns the -exp value into the set of ids to run. "all"
+// selects 0-8; any id outside experimentIDs is an error naming the valid
+// ones.
+func parseExperiments(spec string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if spec == "all" {
+		for i := 0; i <= 8; i++ {
+			want[fmt.Sprint(i)] = true
+		}
+		return want, nil
+	}
+	for _, s := range strings.Split(spec, ",") {
+		id := strings.TrimSpace(s)
+		if !slices.Contains(experimentIDs, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", id, strings.Join(experimentIDs, ", "))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "experiments to run: comma-separated subset of 0-9, or 'all'")
+		expFlag   = flag.String("exp", "all", "experiments to run: comma-separated ids from 0-11, 13, 14, tune; or 'all' (0-8)")
 		quick     = flag.Bool("quick", false, "shrink experiment sizes (smoke test)")
 		scale     = flag.Duration("scale", 0, "wall time per virtual second (0 = per-experiment default)")
 		fig6Tasks = flag.Int("tasks", 1000000, "task count for the Fig 6 prototype")
@@ -47,15 +73,10 @@ func main() {
 		opts.Verbose = os.Stderr
 	}
 
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for i := 0; i <= 8; i++ {
-			want[fmt.Sprint(i)] = true
-		}
-	} else {
-		for _, s := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
+	want, err := parseExperiments(*expFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "entk-experiments: %v\n", err)
+		os.Exit(2)
 	}
 
 	fail := func(err error) {
@@ -155,21 +176,6 @@ func main() {
 			fail(err)
 		}
 		experiments.RenderBatchSweep(os.Stdout, rows)
-	}
-	if want["12"] {
-		tasks := *fig6Tasks
-		if *quick {
-			tasks = 50000
-		}
-		var rows []experiments.Fig6Row
-		for _, format := range []string{"json", "binary"} {
-			r, err := experiments.Fig6Wire(tasks, 64, []int{1, 4}, format)
-			if err != nil {
-				fail(err)
-			}
-			rows = append(rows, r...)
-		}
-		experiments.RenderFig6(os.Stdout, rows)
 	}
 	if want["13"] {
 		rows, err := experiments.Fig8SchedulerSweep(opts)

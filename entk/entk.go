@@ -201,31 +201,13 @@ type AppConfig struct {
 	// Resource is the CI request. Required.
 	Resource Resource
 	// Tuning consolidates the per-run performance knobs (batching,
-	// sharding, scheduler concurrency, wire format, snapshot cadence); the
-	// zero value selects every documented default. The deprecated aliases
-	// below override the corresponding Tuning field when set, so existing
-	// callers keep their behavior.
+	// sharding, scheduler concurrency, snapshot cadence); the zero value
+	// selects every documented default.
 	Tuning
 	// TimeScale is the wall cost of one virtual second (default 1 ms).
 	TimeScale time.Duration
 	// TaskRetries is the automatic resubmission budget per failed task.
 	TaskRetries int
-	// BatchSize is the broker batching knob.
-	//
-	// Deprecated: set Tuning.BatchSize.
-	BatchSize int
-	// QueueShards is the broker/store sharding knob.
-	//
-	// Deprecated: set Tuning.QueueShards.
-	QueueShards int
-	// SchedulerWorkers is the RTS scheduler-concurrency knob.
-	//
-	// Deprecated: set Tuning.SchedulerWorkers.
-	SchedulerWorkers int
-	// WireFormat selects the control-plane wire codec.
-	//
-	// Deprecated: set Tuning.WireFormat.
-	WireFormat string
 	// RTSRestarts bounds RTS restarts after runtime-system failures.
 	RTSRestarts int
 	// JournalPath enables transactional state journaling and recovery into
@@ -238,10 +220,6 @@ type AppConfig struct {
 	// directory — completed tasks are not re-executed. Mutually exclusive
 	// with JournalPath.
 	JournalDir string
-	// SnapshotEvery is the durable mode's snapshot cadence.
-	//
-	// Deprecated: set Tuning.SnapshotEvery.
-	SnapshotEvery int
 	// SegmentBytes is the durable mode's journal segment rotation threshold
 	// (default journal.DefaultSegmentBytes). Ignored without JournalDir.
 	SegmentBytes int64

@@ -84,7 +84,7 @@ func TestBatchSizeKnob(t *testing.T) {
 			Resource:  Resource{Name: "supermic", Cores: 8, Walltime: time.Hour},
 			TimeScale: 50 * time.Microsecond,
 			HostName:  "null",
-			BatchSize: batch,
+			Tuning:    Tuning{BatchSize: batch},
 		})
 		if err != nil {
 			t.Fatal(err)

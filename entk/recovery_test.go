@@ -127,12 +127,12 @@ func auditPushes(t *testing.T, dir string, afterSeq uint64) ([]string, uint64) {
 
 func chaosConfig(dir string) AppConfig {
 	return AppConfig{
-		Resource:      Resource{Name: "supermic", Cores: 16, Walltime: time.Hour},
-		TimeScale:     50 * time.Microsecond,
-		HostName:      "null",
-		JournalDir:    dir,
-		SnapshotEvery: 8,
-		SegmentBytes:  2048,
+		Resource:     Resource{Name: "supermic", Cores: 16, Walltime: time.Hour},
+		TimeScale:    50 * time.Microsecond,
+		HostName:     "null",
+		JournalDir:   dir,
+		Tuning:       Tuning{SnapshotEvery: 8},
+		SegmentBytes: 2048,
 	}
 }
 

@@ -14,7 +14,6 @@ func TestTuningValidate(t *testing.T) {
 		BatchSize:        64,
 		QueueShards:      4,
 		SchedulerWorkers: 2,
-		WireFormat:       "json",
 		SnapshotEvery:    -1, // negative disables snapshots — legal
 	}
 	if err := ok.Validate(); err != nil {
@@ -29,7 +28,6 @@ func TestTuningValidate(t *testing.T) {
 		{"negative batch", Tuning{BatchSize: -1}, "BatchSize"},
 		{"negative shards", Tuning{QueueShards: -1}, "QueueShards"},
 		{"negative schedulers", Tuning{SchedulerWorkers: -1}, "SchedulerWorkers"},
-		{"unknown wire format", Tuning{WireFormat: "xml"}, "wire format"},
 	}
 	for _, c := range cases {
 		err := c.tun.Validate()
@@ -39,31 +37,25 @@ func TestTuningValidate(t *testing.T) {
 	}
 }
 
-// The deprecated AppConfig aliases override the embedded Tuning, keeping
-// pre-Tuning callers' behavior byte-identical.
-func TestTuningAliasPrecedence(t *testing.T) {
-	cfg := AppConfig{
-		Tuning: Tuning{
-			BatchSize:        10,
-			QueueShards:      2,
-			SchedulerWorkers: 2,
-			WireFormat:       "binary",
-			SnapshotEvery:    100,
-		},
-		// Deprecated aliases, as an old caller would set them.
-		BatchSize:        99,
-		WireFormat:       "json",
-		SchedulerWorkers: 7,
+// The embedded Tuning is the only place knobs are set; AppConfig reads of
+// a knob resolve to it through field promotion, and resolveTuning carries
+// the set values through unchanged.
+func TestTuningFieldPromotion(t *testing.T) {
+	cfg := AppConfig{Tuning: Tuning{
+		BatchSize:        10,
+		QueueShards:      2,
+		SchedulerWorkers: 2,
+		SnapshotEvery:    100,
+	}}
+	if cfg.BatchSize != 10 || cfg.QueueShards != 2 || cfg.SchedulerWorkers != 2 || cfg.SnapshotEvery != 100 {
+		t.Fatalf("promoted reads drifted from Tuning: %+v", cfg.Tuning)
 	}
-	tun, err := cfg.effectiveTuning()
+	rt, err := cfg.resolveTuning()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tun.BatchSize != 99 || tun.WireFormat != "json" || tun.SchedulerWorkers != 7 {
-		t.Fatalf("aliases must win: %+v", tun)
-	}
-	if tun.QueueShards != 2 || tun.SnapshotEvery != 100 {
-		t.Fatalf("unset aliases must not clobber Tuning: %+v", tun)
+	if rt.batch != 10 || rt.shards != 2 || rt.scheds != 2 || rt.tun.SnapshotEvery != 100 {
+		t.Fatalf("resolved tuning drifted: %+v", rt)
 	}
 }
 
@@ -72,9 +64,9 @@ func TestTuningAliasPrecedence(t *testing.T) {
 func TestTuningRejectedAtConstruction(t *testing.T) {
 	_, err := NewAppManager(AppConfig{
 		Resource: Resource{Name: "supermic", Cores: 4, Walltime: 3600e9},
-		Tuning:   Tuning{WireFormat: "carrier-pigeon"},
+		Tuning:   Tuning{BatchSize: -1},
 	})
-	if err == nil || !strings.Contains(err.Error(), "wire format") {
-		t.Fatalf("want wire-format rejection, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "BatchSize") {
+		t.Fatalf("want BatchSize rejection, got %v", err)
 	}
 }

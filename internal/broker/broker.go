@@ -171,11 +171,8 @@ type QueueOptions struct {
 
 // Options configure a Broker.
 type Options struct {
-	// Journal, if non-nil, backs durable queues. Durability records are
-	// encoded in the journal's own format (binary by default, JSON when the
-	// journal was opened with the JSON debugging format), so the two can
-	// never disagree; Recover decodes both formats regardless, so old JSON
-	// journals replay.
+	// Journal, if non-nil, backs durable queues with msgcodec durability
+	// records.
 	Journal *journal.Journal
 	// PerOpDelay, if non-nil, is invoked once per publish and once per
 	// delivery — and once per *batch* operation on the batched fast path.
@@ -503,9 +500,7 @@ func (b *Broker) Close() {
 
 // Journal record types used for durable queues. Batched operations write
 // one batch record instead of N single records; Recover understands both.
-// Record payloads are msgcodec broker-durability frames (binary by default,
-// JSON under Options.WireFormat FormatJSON); the msgcodec decoders sniff the
-// framing, so journals written by older JSON-only builds replay unchanged.
+// Record payloads are msgcodec broker-durability frames (0x10–0x13).
 const (
 	recPublish      = "broker.publish"
 	recAck          = "broker.ack"

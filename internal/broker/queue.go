@@ -338,11 +338,7 @@ func (q *queue) journalPublish(m Message) error {
 	if !q.opts.Durable || q.b.opts.Journal == nil {
 		return nil
 	}
-	data, err := q.b.opts.Journal.Format().EncodeBrokerPublish(q.name, m.ID, m.Body)
-	if err != nil {
-		return err
-	}
-	_, err = q.b.opts.Journal.AppendRaw(recPublish, data)
+	_, err := q.b.opts.Journal.AppendRaw(recPublish, msgcodec.FormatBinary.EncodeBrokerPublish(q.name, m.ID, m.Body))
 	return err
 }
 
@@ -350,11 +346,7 @@ func (q *queue) journalAck(id uint64) error {
 	if !q.opts.Durable || q.b.opts.Journal == nil {
 		return nil
 	}
-	data, err := q.b.opts.Journal.Format().EncodeBrokerAck(q.name, id)
-	if err != nil {
-		return err
-	}
-	_, err = q.b.opts.Journal.AppendRaw(recAck, data)
+	_, err := q.b.opts.Journal.AppendRaw(recAck, msgcodec.FormatBinary.EncodeBrokerAck(q.name, id))
 	return err
 }
 
@@ -368,11 +360,7 @@ func (q *queue) journalPublishBatch(msgs []Message) error {
 	for i, m := range msgs {
 		refs[i] = msgcodec.BrokerMsg{ID: m.ID, Body: m.Body}
 	}
-	data, err := q.b.opts.Journal.Format().EncodeBrokerPublishBatch(q.name, refs)
-	if err != nil {
-		return err
-	}
-	_, err = q.b.opts.Journal.AppendRaw(recPublishBatch, data)
+	_, err := q.b.opts.Journal.AppendRaw(recPublishBatch, msgcodec.FormatBinary.EncodeBrokerPublishBatch(q.name, refs))
 	return err
 }
 
@@ -380,11 +368,7 @@ func (q *queue) journalAckBatch(ids []uint64) error {
 	if !q.opts.Durable || q.b.opts.Journal == nil {
 		return nil
 	}
-	data, err := q.b.opts.Journal.Format().EncodeBrokerAckBatch(q.name, ids)
-	if err != nil {
-		return err
-	}
-	_, err = q.b.opts.Journal.AppendRaw(recAckBatch, data)
+	_, err := q.b.opts.Journal.AppendRaw(recAckBatch, msgcodec.FormatBinary.EncodeBrokerAckBatch(q.name, ids))
 	return err
 }
 

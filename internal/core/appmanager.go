@@ -12,7 +12,6 @@ import (
 	"repro/internal/broker"
 	"repro/internal/hostmodel"
 	"repro/internal/journal"
-	"repro/internal/msgcodec"
 	"repro/internal/profiler"
 	"repro/internal/statedb"
 	"repro/internal/tuning"
@@ -100,12 +99,6 @@ type Config struct {
 	// the RTS default, min(GOMAXPROCS, store shards); 1 is the strict-FIFO
 	// single-scheduler agent.
 	SchedulerWorkers int
-	// WireFormat selects the control-plane wire codec: "binary" (the
-	// default, and the hot-path fast format) or "json" (human-readable
-	// messages and journal records, for debugging and inspection). Decoding
-	// always accepts both, so journals written under either setting replay
-	// under the other. See docs/wire-format.md.
-	WireFormat string
 	// Live is the run's mutable knob handle: the batch-size knob every hot
 	// path reads with one atomic load. An embedding layer (entk) that also
 	// builds the RTS passes the same handle into both, giving the autotune
@@ -116,9 +109,6 @@ type Config struct {
 	// Autotune configures the live knob controller (see docs/autotune.md).
 	// Zero value (Enabled false) means no controller goroutine exists.
 	Autotune autotune.Policy
-
-	// wireFmt is the parsed WireFormat, resolved by setDefaults.
-	wireFmt msgcodec.Format
 }
 
 func (c *Config) setDefaults() error {
@@ -146,11 +136,6 @@ func (c *Config) setDefaults() error {
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 1024
 	}
-	f, err := msgcodec.ParseFormat(c.WireFormat)
-	if err != nil {
-		return err
-	}
-	c.wireFmt = f
 	if c.Live == nil {
 		scheds := c.SchedulerWorkers
 		if scheds < 1 {
@@ -557,13 +542,9 @@ func (am *AppManager) Run(ctx context.Context) error {
 	return r.Wait()
 }
 
-// wire returns the run's control-plane wire format.
-func (am *AppManager) wire() msgcodec.Format { return am.cfg.wireFmt }
-
-// journalOpen opens the transactional state journal, framed with the run's
-// wire format (replay accepts both framings regardless).
+// journalOpen opens the transactional state journal.
 func (am *AppManager) journalOpen(path string) (*journal.Journal, error) {
-	return journal.Open(path, journal.Options{Format: am.cfg.wireFmt})
+	return journal.Open(path, journal.Options{})
 }
 
 // closeJournal closes the state journal if one is open.

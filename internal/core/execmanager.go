@@ -249,7 +249,7 @@ func (e *execManager) callbackLoop(rts RTS) {
 			delete(e.inflight, r.UID)
 		}
 		e.inflightMu.Unlock()
-		body, err := e.am.wire().EncodeTaskResults(results)
+		body, err := msgcodec.FormatBinary.EncodeTaskResults(results)
 		if err != nil {
 			// A result batch that cannot be encoded would vanish and leave
 			// its tasks in flight forever: surface the failure as a
@@ -346,7 +346,7 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 		if err := e.hbSync.flush(); err != nil {
 			return err
 		}
-		if err := e.am.brk.Publish(e.am.qname(QueuePending), e.am.wire().EncodeTaskUID(uid)); err != nil {
+		if err := e.am.brk.Publish(e.am.qname(QueuePending), msgcodec.FormatBinary.EncodeTaskUID(uid)); err != nil {
 			return err
 		}
 	}

@@ -96,10 +96,7 @@ func (am *AppManager) openDurable() error {
 	if err != nil {
 		return err
 	}
-	j, err := journal.OpenDir(dir, journal.Options{
-		Format:       am.cfg.wireFmt,
-		SegmentBytes: am.cfg.SegmentBytes,
-	})
+	j, err := journal.OpenDir(dir, journal.Options{SegmentBytes: am.cfg.SegmentBytes})
 	if err != nil {
 		return err
 	}
@@ -175,7 +172,7 @@ func (am *AppManager) maybeSnapshot(committed int) {
 func (am *AppManager) writeSnapshot() {
 	wm := am.jrn.Seq()
 	snap := msgcodec.Snapshot{Watermark: wm, Entries: am.mirror.SnapshotEntries()}
-	if _, err := statedb.WriteSnapshot(am.cfg.JournalDir, snap, am.cfg.wireFmt); err != nil {
+	if _, err := statedb.WriteSnapshot(am.cfg.JournalDir, snap); err != nil {
 		atomic.AddInt64(&am.snapshotFailures, 1)
 		return
 	}

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -315,28 +320,54 @@ func TestResumedSnapshotCoversPreCrashState(t *testing.T) {
 	}
 }
 
-// TestDurableRunBinaryAndJSONFormats runs the durable path under both wire
-// formats; recovery must reconstruct either.
+// TestDurableRunBinaryAndJSONFormats pins both sides of the wire-format
+// boundary: a durable run's binary journal reconstructs every task, and a
+// journal directory left by a JSON-format build makes Resume fail with an
+// error, leaving the segment untouched, instead of silently starting over.
 func TestDurableRunBinaryAndJSONFormats(t *testing.T) {
-	for _, wf := range []string{"binary", "json"} {
-		t.Run(wf, func(t *testing.T) {
-			dir := t.TempDir()
-			am, _ := testApp(t, Config{JournalDir: dir, WireFormat: wf, SnapshotEvery: 4, SegmentBytes: 512})
-			pipes := buildApp(1, 2, 4, 20*time.Second)
-			stampUIDs(pipes)
-			am.AddPipelines(pipes...)
-			if err := runApp(t, am); err != nil {
-				t.Fatal(err)
+	t.Run("binary", func(t *testing.T) {
+		dir := t.TempDir()
+		am, _ := testApp(t, Config{JournalDir: dir, SnapshotEvery: 4, SegmentBytes: 512})
+		pipes := buildApp(1, 2, 4, 20*time.Second)
+		stampUIDs(pipes)
+		am.AddPipelines(pipes...)
+		if err := runApp(t, am); err != nil {
+			t.Fatal(err)
+		}
+		done := 0
+		for k, state := range reconstruct(t, dir) {
+			if k.entity == "task" && TaskState(state) == TaskDone {
+				done++
 			}
-			done := 0
-			for k, state := range reconstruct(t, dir) {
-				if k.entity == "task" && TaskState(state) == TaskDone {
-					done++
-				}
-			}
-			if done != 8 {
-				t.Fatalf("%s: reconstructed %d DONE tasks, want 8", wf, done)
-			}
-		})
-	}
+		}
+		if done != 8 {
+			t.Fatalf("reconstructed %d DONE tasks, want 8", done)
+		}
+	})
+	t.Run("json", func(t *testing.T) {
+		dir := t.TempDir()
+		// One JSON-framed state record, exactly as a JSON-format build
+		// wrote it: [len][CRC32] around a {"seq","type","data"} document.
+		payload := []byte(`{"seq":1,"type":"state","data":{"entity":"task","uid":"task.000.000.00000","state":"DONE"}}`)
+		seg := make([]byte, 8+len(payload))
+		binary.LittleEndian.PutUint32(seg[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(seg[4:8], crc32.ChecksumIEEE(payload))
+		copy(seg[8:], payload)
+		path := filepath.Join(dir, journal.SegmentName(1))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		am, _ := testApp(t, Config{})
+		pipes := buildApp(1, 1, 2, 10*time.Second)
+		stampUIDs(pipes)
+		am.AddPipelines(pipes...)
+		if run, err := am.Resume(context.Background(), dir); err == nil {
+			run.Cancel("test")
+			run.Wait() //nolint:errcheck
+			t.Fatal("Resume accepted a JSON-format journal")
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("segment changed by a failed Resume (err=%v)", err)
+		}
+	})
 }

@@ -16,8 +16,7 @@ import (
 // non-empty, applies the same transition to a batch of entities in one
 // request — EnTK's bulk state updates, which keep the synchronization
 // traffic O(stages), not O(tasks). The wire codec lives in
-// internal/msgcodec (binary frames by default, JSON under the WireFormat
-// debugging knob).
+// internal/msgcodec.
 type stateRequest = msgcodec.SyncRequest
 
 // stateAck is the Synchronizer's acknowledgement of one frame (Fig 2,
@@ -87,16 +86,7 @@ func (s *synchronizer) loop() {
 				break
 			}
 		}
-		body, err := s.am.wire().EncodeSyncAck(ack)
-		if err != nil {
-			// An unencodable ack would leave the requester waiting forever:
-			// surface the failure as a component error (which tears the run
-			// down and closes the requester's reply queue) instead of
-			// silently dropping the reply.
-			d.Ack() //nolint:errcheck
-			s.am.finish(fmt.Errorf("core: synchronizer: encode ack: %w", err))
-			continue
-		}
+		body := msgcodec.FormatBinary.EncodeSyncAck(ack)
 		// Best effort: the reply queue disappears during tear-down.
 		s.am.brk.Publish(frame.Reply, body) //nolint:errcheck
 		d.Ack()                             //nolint:errcheck
@@ -224,7 +214,7 @@ func (s *synchronizer) apply(req *stateRequest) stateAck {
 	if s.am.jrn != nil || s.am.cfg.StateStore != nil {
 		for _, c := range commits {
 			if s.am.jrn != nil {
-				rec := s.am.wire().EncodeStateRec(req.Entity, c.uid, req.Target)
+				rec := msgcodec.FormatBinary.EncodeStateRec(req.Entity, c.uid, req.Target)
 				if _, jerr := s.am.jrn.AppendRaw("state", rec); jerr != nil {
 					return stateAck{OK: false, Err: jerr.Error()}
 				}
@@ -352,12 +342,9 @@ func (c *syncClient) flush() error {
 		return nil
 	}
 	c.seq++
-	body, err := c.am.wire().EncodeSyncFrame(msgcodec.SyncFrame{
+	body := msgcodec.FormatBinary.EncodeSyncFrame(msgcodec.SyncFrame{
 		Reply: c.reply, Seq: c.seq, Reqs: c.reqs,
 	})
-	if err != nil {
-		return fmt.Errorf("core: encode sync frame: %w", err)
-	}
 	if err := c.am.brk.Publish(c.am.qname(QueueStates), body); err != nil {
 		return err
 	}
@@ -420,8 +407,7 @@ func (c *syncClient) pipeline(p *Pipeline, to PipelineState) error {
 // "applications can be executed on multiple attempts, without restarting
 // completed tasks"). Tasks caught mid-flight are reset to the initial state
 // for re-scheduling; stages and pipelines are recomputed from task states by
-// the normal scheduling path. State records written by older JSON builds
-// decode transparently (msgcodec sniffs the framing).
+// the normal scheduling path.
 func (am *AppManager) recoverFromJournal() error {
 	final := map[string]string{}
 	err := journal.Replay(am.cfg.JournalPath, func(rec journal.Record) error {

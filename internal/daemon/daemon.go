@@ -94,7 +94,6 @@ type Config struct {
 	BatchSize        int
 	QueueShards      int
 	SchedulerWorkers int
-	WireFormat       string
 	SnapshotEvery    int
 	// Model overrides the pool's RTS cost model (zero value = per-CI
 	// default; tests use rts.FastModel()).
@@ -364,7 +363,6 @@ func (d *Daemon) startRun(e *runEntry) error {
 		EmgrBatch:        d.cfg.BatchSize,
 		QueueShards:      d.cfg.QueueShards,
 		SchedulerWorkers: d.cfg.SchedulerWorkers,
-		WireFormat:       d.cfg.WireFormat,
 	})
 	if err != nil {
 		return fail(err)

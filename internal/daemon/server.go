@@ -3,7 +3,6 @@ package daemon
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -20,13 +19,10 @@ import (
 // frame (FrameDaemonSubmit or FrameDaemonRunOp), the server answers with
 // run-op frames — exactly one for unary operations, a stream of "event"
 // frames terminated by "end" for subscriptions — and the connection closes.
-// Frames ride internal/transport's uvarint length-prefixed framing; the
-// payload's own magic byte (or its absence) selects the binary or JSON
-// decode path exactly as on the broker queues.
+// Frames ride internal/transport's uvarint length-prefixed framing.
 type Server struct {
-	d   *Daemon
-	l   net.Listener
-	fmt msgcodec.Format
+	d *Daemon
+	l net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -41,10 +37,6 @@ func (d *Daemon) Serve() (*Server, error) {
 	if d.cfg.SocketPath == "" {
 		return nil, errors.New("daemon: no socket path configured")
 	}
-	f, err := msgcodec.ParseFormat(d.cfg.WireFormat)
-	if err != nil {
-		return nil, err
-	}
 	if _, err := os.Stat(d.cfg.SocketPath); err == nil {
 		// Probe before unlinking: refuse to steal a live daemon's socket.
 		if c, err := net.Dial("unix", d.cfg.SocketPath); err == nil {
@@ -57,7 +49,7 @@ func (d *Daemon) Serve() (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{d: d, l: l, fmt: f, conns: make(map[net.Conn]struct{})}
+	s := &Server{d: d, l: l, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -107,13 +99,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// jsonProbe distinguishes a JSON submit frame (which has app_json) from a
-// JSON run-op frame (which has op) without a frame-type byte.
-type jsonProbe struct {
-	Op      string          `json:"op"`
-	AppJSON json.RawMessage `json:"app_json"`
-}
-
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close() //nolint:errcheck // single-request protocol
@@ -126,7 +111,7 @@ func (s *Server) handle(conn net.Conn) {
 	if err != nil {
 		return // client vanished before sending a request
 	}
-	if isSubmit(body) {
+	if typ, _ := msgcodec.FrameType(body); typ == msgcodec.FrameDaemonSubmit {
 		s.handleSubmit(conn, body)
 		return
 	}
@@ -138,25 +123,8 @@ func (s *Server) handle(conn net.Conn) {
 	s.handleOp(conn, op)
 }
 
-// isSubmit sniffs the request's frame type: the binary header carries it
-// explicitly; JSON requests are probed for the app_json field.
-func isSubmit(body []byte) bool {
-	if msgcodec.IsBinary(body) {
-		return len(body) >= 3 && body[2] == msgcodec.FrameDaemonSubmit
-	}
-	var p jsonProbe
-	if err := json.Unmarshal(body, &p); err != nil {
-		return false
-	}
-	return p.Op == "" && p.AppJSON != nil
-}
-
 func (s *Server) reply(conn net.Conn, op msgcodec.RunOp) bool {
-	body, err := s.fmt.EncodeRunOp(op)
-	if err != nil {
-		return false
-	}
-	return transport.WriteFrame(conn, body) == nil
+	return transport.WriteFrame(conn, msgcodec.FormatBinary.EncodeRunOp(op)) == nil
 }
 
 func (s *Server) handleSubmit(conn net.Conn, body []byte) {

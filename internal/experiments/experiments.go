@@ -84,7 +84,7 @@ func runPST(spec pstSpec, scale time.Duration) (profiler.Report, error) {
 		},
 		TimeScale:   scale,
 		TaskRetries: 2,
-		BatchSize:   spec.Batch,
+		Tuning:      entk.Tuning{BatchSize: spec.Batch},
 	})
 	if err != nil {
 		return profiler.Report{}, err
@@ -263,10 +263,9 @@ func runScalingBatch(tasks, cores, batch, schedulers int, scale time.Duration) (
 			Cores:    cores,
 			Walltime: 2 * time.Hour, // Titan's queue policy cap, as in the paper
 		},
-		TimeScale:        scale,
-		TaskRetries:      2,
-		BatchSize:        batch,
-		SchedulerWorkers: schedulers,
+		TimeScale:   scale,
+		TaskRetries: 2,
+		Tuning:      entk.Tuning{BatchSize: batch, SchedulerWorkers: schedulers},
 	})
 	if err != nil {
 		return profiler.Report{}, err

@@ -21,9 +21,6 @@ type Fig6Row struct {
 	// Batch is the broker batch size used; 0 or 1 means the per-message
 	// path (the paper's original configuration).
 	Batch int
-	// Wire is the task-body codec used: "json" (the paper's original
-	// encoding) or "binary" (the msgcodec wire format).
-	Wire string
 
 	ProducerTime  time.Duration // wall time until all tasks are published
 	ConsumerTime  time.Duration // wall time until all tasks are consumed
@@ -32,16 +29,16 @@ type Fig6Row struct {
 	PeakMemMB     float64       // peak heap during the run
 
 	// DecodeFailures counts consumer-side task objects that failed to
-	// unmarshal. The prototype publishes only well-formed JSON, so any
+	// decode. The prototype publishes only well-formed frames, so any
 	// non-zero value means the broker corrupted or truncated a message —
 	// a correctness signal the original benchmark silently discarded.
 	DecodeFailures int
 }
 
 // The task object pushed through the queues — msgcodec.Fig6Task, shaped
-// like an EnTK task description — is encoded per Fig6Row.Wire: the paper's
-// original JSON, or the binary wire format whose pooled encoder removed the
-// per-task json.Marshal that used to dominate this benchmark.
+// like an EnTK task description — is a binary msgcodec frame. The paper's
+// prototype used JSON bodies; the binary codec's pooled encoder removed the
+// per-task marshal that used to dominate this benchmark (docs/wire-format.md).
 
 // Fig6Prototype benchmarks the broker-centred core of EnTK exactly as the
 // paper's prototype does: P producers push task objects into Q queues, C
@@ -56,7 +53,7 @@ func Fig6Prototype(tasks int, configs []int) ([]Fig6Row, error) {
 	}
 	var rows []Fig6Row
 	for _, n := range configs {
-		row, err := fig6Run(tasks, n, n, n, 0, msgcodec.FormatJSON)
+		row, err := fig6Run(tasks, n, n, n, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -68,11 +65,9 @@ func Fig6Prototype(tasks int, configs []int) ([]Fig6Row, error) {
 // Fig6Batched is the batched-broker variant of the prototype benchmark:
 // identical producer/consumer/queue topology, but producers publish bodies
 // through PublishBatch in chunks of batch, consumers drain through
-// pull-mode ReceiveBatch with batch acknowledgements, and task bodies use
-// the binary wire codec (per-task JSON marshalling dominated the batched
-// harness; see Fig6Wire for the codec ablation). Comparing a Fig6Batched
-// row against the Fig6Prototype row of the same shape isolates the full
-// broker + codec fast path.
+// pull-mode ReceiveBatch with batch acknowledgements. Comparing a
+// Fig6Batched row against the Fig6Prototype row of the same shape isolates
+// the batched broker fast path.
 func Fig6Batched(tasks, batch int, configs []int) ([]Fig6Row, error) {
 	if tasks <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive task count")
@@ -85,36 +80,7 @@ func Fig6Batched(tasks, batch int, configs []int) ([]Fig6Row, error) {
 	}
 	var rows []Fig6Row
 	for _, n := range configs {
-		row, err := fig6Run(tasks, n, n, n, batch, msgcodec.FormatBinary)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Fig6Wire is the codec ablation of the batched prototype benchmark: the
-// same topology and batch width, with task bodies encoded per format
-// ("json" or "binary"). Comparing the two isolates what the binary wire
-// codec buys once the broker itself is batched.
-func Fig6Wire(tasks, batch int, configs []int, format string) ([]Fig6Row, error) {
-	if tasks <= 0 {
-		return nil, fmt.Errorf("experiments: non-positive task count")
-	}
-	if batch <= 1 {
-		return nil, fmt.Errorf("experiments: batch must exceed 1 (got %d)", batch)
-	}
-	wire, err := msgcodec.ParseFormat(format)
-	if err != nil {
-		return nil, err
-	}
-	if len(configs) == 0 {
-		configs = []int{1, 2, 4, 8}
-	}
-	var rows []Fig6Row
-	for _, n := range configs {
-		row, err := fig6Run(tasks, n, n, n, batch, wire)
+		row, err := fig6Run(tasks, n, n, n, batch)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +111,7 @@ func Fig6Grid(tasks int, batches, configs []int) ([]Fig6Row, error) {
 			return nil, fmt.Errorf("experiments: non-positive batch size %d", batch)
 		}
 		for _, n := range configs {
-			row, err := fig6Run(tasks, n, n, n, batch, msgcodec.FormatBinary)
+			row, err := fig6Run(tasks, n, n, n, batch)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +127,7 @@ func Fig6Uneven(tasks int) ([]Fig6Row, error) {
 	shapes := [][3]int{{8, 1, 1}, {1, 8, 1}, {4, 8, 4}}
 	var rows []Fig6Row
 	for _, s := range shapes {
-		row, err := fig6Run(tasks, s[0], s[1], s[2], 0, msgcodec.FormatJSON)
+		row, err := fig6Run(tasks, s[0], s[1], s[2], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -213,9 +179,8 @@ func startPeakSampler(baseMB float64) (stop func() float64) {
 // fig6Run executes one prototype configuration. batch <= 1 selects the
 // per-message broker path (the paper's original setup); batch > 1 moves
 // the same task volume over the batched fast path (PublishBatch in chunks
-// of batch, pull-mode ReceiveBatch with batch acknowledgements). wire
-// selects the task-body codec.
-func fig6Run(tasks, producers, consumers, queues, batch int, wire msgcodec.Format) (Fig6Row, error) {
+// of batch, pull-mode ReceiveBatch with batch acknowledgements).
+func fig6Run(tasks, producers, consumers, queues, batch int) (Fig6Row, error) {
 	b := broker.New(broker.Options{})
 	defer b.Close()
 	qnames := make([]string, queues)
@@ -228,7 +193,7 @@ func fig6Run(tasks, producers, consumers, queues, batch int, wire msgcodec.Forma
 
 	row := Fig6Row{
 		Producers: producers, Consumers: consumers, Queues: queues,
-		Tasks: tasks, Wire: wire.String(),
+		Tasks: tasks,
 	}
 	if batch > 1 {
 		row.Batch = batch
@@ -261,7 +226,7 @@ func fig6Run(tasks, producers, consumers, queues, batch int, wire msgcodec.Forma
 			}
 			for i := 0; i < n; i++ {
 				t.UID = fmt.Sprintf("task.%06d.%06d", p, i)
-				body := wire.EncodeFig6Task(&t)
+				body := msgcodec.FormatBinary.EncodeFig6Task(&t)
 				if batch <= 1 {
 					b.Publish(q, body) //nolint:errcheck
 					continue

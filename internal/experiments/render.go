@@ -57,20 +57,16 @@ func RenderScaling(w io.Writer, title string, rows []ScalingRow) {
 func RenderFig6(w io.Writer, rows []Fig6Row) {
 	title := "Fig 6: EnTK prototype, producers/consumers over the broker"
 	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
-	fmt.Fprintf(w, "%6s %6s %6s %6s %7s %10s %12s %12s %12s %10s %10s\n",
-		"prod", "cons", "queues", "batch", "wire", "tasks", "prod_time", "cons_time", "aggregate", "base_MB", "peak_MB")
+	fmt.Fprintf(w, "%6s %6s %6s %6s %10s %12s %12s %12s %10s %10s\n",
+		"prod", "cons", "queues", "batch", "tasks", "prod_time", "cons_time", "aggregate", "base_MB", "peak_MB")
 	failures := 0
 	for _, r := range rows {
 		batch := r.Batch
 		if batch == 0 {
 			batch = 1
 		}
-		wire := r.Wire
-		if wire == "" {
-			wire = "json"
-		}
-		fmt.Fprintf(w, "%6d %6d %6d %6d %7s %10d %12v %12v %12v %10.1f %10.1f\n",
-			r.Producers, r.Consumers, r.Queues, batch, wire, r.Tasks,
+		fmt.Fprintf(w, "%6d %6d %6d %6d %10d %12v %12v %12v %10.1f %10.1f\n",
+			r.Producers, r.Consumers, r.Queues, batch, r.Tasks,
 			r.ProducerTime.Round(1e6), r.ConsumerTime.Round(1e6),
 			r.AggregateTime.Round(1e6), r.BaseMemMB, r.PeakMemMB)
 		failures += r.DecodeFailures

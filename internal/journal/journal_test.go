@@ -1,8 +1,8 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -14,9 +14,14 @@ import (
 	"repro/internal/msgcodec"
 )
 
-type payload struct {
-	Name  string `json:"name"`
-	Value int    `json:"value"`
+// appendRec appends one record with an opaque payload and returns its seq.
+func appendRec(t *testing.T, j *Journal, recType, data string) uint64 {
+	t.Helper()
+	seq, err := j.AppendRaw(recType, []byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
 }
 
 func tmpJournal(t *testing.T) string {
@@ -31,11 +36,7 @@ func TestAppendAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		seq, err := j.Append("task.state", payload{Name: fmt.Sprintf("t%d", i), Value: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != uint64(i+1) {
+		if seq := appendRec(t, j, "task.state", fmt.Sprintf("t%d", i)); seq != uint64(i+1) {
 			t.Fatalf("seq = %d, want %d", seq, i+1)
 		}
 	}
@@ -43,16 +44,12 @@ func TestAppendAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got []payload
+	var got []string
 	err = Replay(path, func(rec Record) error {
 		if rec.Type != "task.state" {
 			t.Fatalf("unexpected type %q", rec.Type)
 		}
-		var p payload
-		if err := Decode(rec, &p); err != nil {
-			return err
-		}
-		got = append(got, p)
+		got = append(got, string(rec.Data))
 		return nil
 	})
 	if err != nil {
@@ -61,9 +58,9 @@ func TestAppendAndReplay(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("replayed %d records, want 10", len(got))
 	}
-	for i, p := range got {
-		if p.Value != i {
-			t.Fatalf("record %d has value %d", i, p.Value)
+	for i, data := range got {
+		if want := fmt.Sprintf("t%d", i); data != want {
+			t.Fatalf("record %d has data %q, want %q", i, data, want)
 		}
 	}
 }
@@ -84,12 +81,8 @@ func TestReopenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append("a", payload{Value: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append("a", payload{Value: 2}); err != nil {
-		t.Fatal(err)
-	}
+	appendRec(t, j, "a", "1")
+	appendRec(t, j, "a", "2")
 	j.Close()
 
 	j2, err := Open(path, Options{})
@@ -97,11 +90,7 @@ func TestReopenResumesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	seq, err := j2.Append("a", payload{Value: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 3 {
+	if seq := appendRec(t, j2, "a", "3"); seq != 3 {
 		t.Fatalf("resumed seq = %d, want 3", seq)
 	}
 }
@@ -113,9 +102,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := j.Append("x", payload{Value: i}); err != nil {
-			t.Fatal(err)
-		}
+		appendRec(t, j, "x", fmt.Sprint(i))
 	}
 	j.Close()
 
@@ -142,11 +129,7 @@ func TestTornTailIsDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	seq, err := j2.Append("x", payload{Value: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 5 {
+	if seq := appendRec(t, j2, "x", "99"); seq != 5 {
 		t.Fatalf("post-recovery seq = %d, want 5", seq)
 	}
 	count = 0
@@ -164,12 +147,8 @@ func TestCorruptedPayloadStopsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Append("x", payload{Value: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append("x", payload{Value: 2}); err != nil {
-		t.Fatal(err)
-	}
+	appendRec(t, j, "x", "1")
+	appendRec(t, j, "x", "2")
 	j.Close()
 
 	// Flip a byte inside the second record's payload.
@@ -198,7 +177,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, err := j.Append("x", payload{}); err != ErrClosed {
+	if _, err := j.AppendRaw("x", nil); err != ErrClosed {
 		t.Fatalf("append after close: err = %v, want ErrClosed", err)
 	}
 }
@@ -216,7 +195,7 @@ func TestConcurrentAppends(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := j.Append("c", payload{Name: fmt.Sprintf("w%d", w), Value: i}); err != nil {
+				if _, err := j.AppendRaw("c", []byte(fmt.Sprintf("w%d.%d", w, i))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -247,41 +226,35 @@ func TestConcurrentAppends(t *testing.T) {
 // Property: any sequence of appended payloads replays back identically, in
 // order, regardless of content.
 func TestRoundTripProperty(t *testing.T) {
-	f := func(values []int32, names []string) bool {
+	f := func(payloads [][]byte, types []string) bool {
 		path := filepath.Join(t.TempDir(), "prop.journal")
 		j, err := Open(path, Options{})
 		if err != nil {
 			return false
 		}
-		var want []payload
-		for i, v := range values {
-			name := "n"
-			if i < len(names) {
-				name = names[i]
+		for i, data := range payloads {
+			recType := "p"
+			if i < len(types) {
+				recType = types[i]
 			}
-			p := payload{Name: name, Value: int(v)}
-			want = append(want, p)
-			if _, err := j.Append("p", p); err != nil {
+			if _, err := j.AppendRaw(recType, data); err != nil {
 				return false
 			}
 		}
 		j.Close()
-		var got []payload
+		var got []Record
 		if err := Replay(path, func(rec Record) error {
-			var p payload
-			if err := Decode(rec, &p); err != nil {
-				return err
-			}
-			got = append(got, p)
+			got = append(got, rec)
 			return nil
 		}); err != nil {
 			return false
 		}
-		if len(got) != len(want) {
+		if len(got) != len(payloads) {
 			return false
 		}
-		for i := range got {
-			if got[i] != want[i] {
+		for i, rec := range got {
+			if rec.Seq != uint64(i+1) || !bytes.Equal(rec.Data, payloads[i]) ||
+				(i < len(types) && rec.Type != types[i]) {
 				return false
 			}
 		}
@@ -292,145 +265,85 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// writeLegacyJSONRecord appends one record to f using the pre-binary
-// framing: length + CRC header over a json.Marshal'd Record document. This
-// is byte-for-byte what older builds wrote, reconstructed here so the
-// backward-compatibility contract is pinned against the real old format,
-// not against the current writer.
-func writeLegacyJSONRecord(t *testing.T, f *os.File, seq uint64, recType string, data string) {
-	t.Helper()
-	payload, err := json.Marshal(Record{Seq: seq, Type: recType, Data: json.RawMessage(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
+// framed wraps an arbitrary payload in the journal's [len][CRC32] outer
+// framing, so the payload passes its CRC whatever it holds.
+func framed(payload []byte) []byte {
 	buf := make([]byte, headerLen+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 	copy(buf[headerLen:], payload)
-	if _, err := f.Write(buf); err != nil {
+	return buf
+}
+
+// legacyJSONRecord is a record payload in the JSON framing older builds
+// wrote: a {"seq","type","data"} document with the data embedded verbatim.
+func legacyJSONRecord(seq uint64, recType, data string) []byte {
+	return []byte(fmt.Sprintf(`{"seq":%d,"type":%q,"data":%s}`, seq, recType, data))
+}
+
+// futureVersionRecord is a binary journal record whose version byte is one
+// past what this build speaks.
+func futureVersionRecord(seq uint64) []byte {
+	rec := msgcodec.AppendJournalRec(nil, seq, "state", msgcodec.FormatBinary.EncodeStateRec("task", "t.x", "DONE"))
+	rec[1] = msgcodec.Version + 1
+	return rec
+}
+
+// assertRejected checks that Replay and Open both fail on the journal at
+// path after replaying its valid prefix of want records, and that neither
+// changes the file.
+func assertRejected(t *testing.T, path string, want int) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
+	}
+	n := 0
+	if err := Replay(path, func(Record) error { n++; return nil }); err == nil {
+		t.Fatal("Replay accepted an intact record it cannot decode")
+	}
+	if n != want {
+		t.Fatalf("Replay delivered %d records before the error, want %d", n, want)
+	}
+	if j, err := Open(path, Options{}); err == nil {
+		j.Close()
+		t.Fatal("Open accepted an intact record it cannot decode")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("journal changed from %d to %d bytes", len(before), len(after))
 	}
 }
 
-// TestJSONJournalReplayCompat writes a journal with the old JSON framing,
-// replays it through the binary-first reader, and asserts the recovered
-// records are identical — the durable-queue/state-recovery compatibility
-// contract of the wire-format migration.
+// TestJSONJournalReplayCompat pins the upgrade boundary: a journal holding
+// a record in the JSON framing older builds wrote fails Replay and Open with
+// an error instead of being truncated away as a torn tail.
 func TestJSONJournalReplayCompat(t *testing.T) {
 	path := tmpJournal(t)
-	f, err := os.Create(path)
+	j, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []struct {
-		typ  string
-		data string
-	}{
-		{"state", `{"entity":"task","uid":"task.0001","state":"DONE"}`},
-		{"state", `{"entity":"stage","uid":"stage.0001","state":"DONE"}`},
-		{"broker.ack", `{"q":"pending","id":7}`},
-	}
-	for i, w := range want {
-		writeLegacyJSONRecord(t, f, uint64(i+1), w.typ, w.data)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []Record
-	if err := Replay(path, func(rec Record) error {
-		got = append(got, Record{Seq: rec.Seq, Type: rec.Type, Data: append(json.RawMessage(nil), rec.Data...)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
-	}
-	for i, rec := range got {
-		if rec.Seq != uint64(i+1) || rec.Type != want[i].typ || string(rec.Data) != want[i].data {
-			t.Fatalf("record %d drifted: %+v", i, rec)
-		}
-	}
+	appendRec(t, j, "state", "binary")
+	j.Close()
+	appendBytes(t, path, framed(legacyJSONRecord(2, "state", `{"entity":"task","uid":"task.0001","state":"DONE"}`)))
+	assertRejected(t, path, 1)
 }
 
-// TestMixedFramingJournal reopens a legacy JSON-framed journal with the
-// binary-first writer, appends binary records, and asserts replay yields
-// the union in order with a contiguous sequence.
+// TestMixedFramingJournal pins the same boundary for a record from a build
+// with a newer wire version: it is an error, not a torn tail.
 func TestMixedFramingJournal(t *testing.T) {
 	path := tmpJournal(t)
-	f, err := os.Create(path)
+	j, err := Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeLegacyJSONRecord(t, f, 1, "state", `{"entity":"task","uid":"t.1","state":"DONE"}`)
-	writeLegacyJSONRecord(t, f, 2, "state", `{"entity":"task","uid":"t.2","state":"DONE"}`)
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := Open(path, Options{}) // binary framing by default
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := j.AppendRaw("state", msgcodec.FormatBinary.EncodeStateRec("task", "t.3", "DONE"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 3 {
-		t.Fatalf("binary append after JSON prefix: seq = %d, want 3", seq)
-	}
+	appendRec(t, j, "state", "a")
+	appendRec(t, j, "state", "b")
 	j.Close()
-
-	var uids []string
-	if err := Replay(path, func(rec Record) error {
-		sr, err := msgcodec.DecodeStateRec(rec.Data)
-		if err != nil {
-			return err
-		}
-		uids = append(uids, sr.UID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(uids) != 3 || uids[0] != "t.1" || uids[1] != "t.2" || uids[2] != "t.3" {
-		t.Fatalf("mixed replay drifted: %q", uids)
-	}
-}
-
-// TestJSONFormatOption pins the WireFormat debugging knob: a JSON-format
-// journal writes records the old framing spells, readable by eye and by
-// the sniffing reader alike.
-func TestJSONFormatOption(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Open(path, Options{Format: msgcodec.FormatJSON})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Append("task.state", payload{Name: "t0", Value: 7}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(raw[headerLen:]) {
-		t.Fatalf("JSON-format journal wrote a non-JSON payload: %q", raw[headerLen:])
-	}
-	var got []payload
-	if err := Replay(path, func(rec Record) error {
-		var p payload
-		if err := Decode(rec, &p); err != nil {
-			return err
-		}
-		got = append(got, p)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Value != 7 {
-		t.Fatalf("JSON-format replay drifted: %+v", got)
-	}
+	appendBytes(t, path, framed(futureVersionRecord(3)))
+	assertRejected(t, path, 2)
 }

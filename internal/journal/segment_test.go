@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -244,43 +245,39 @@ func TestCompactFlatJournalFails(t *testing.T) {
 	}
 }
 
-// TestReplayDirMixedFormats pins cross-format replay: a directory whose
-// segments were written under different WireFormat settings (a run restarted
-// with the debugging format, say) replays as one coherent stream.
+// TestReplayDirMixedFormats pins the upgrade boundary for segmented
+// journals: a directory whose active segment ends in a record from a
+// JSON-format build fails ReplayDir and OpenDir, and OpenDir does not
+// truncate that record away as a torn tail.
 func TestReplayDirMixedFormats(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenDir(dir, Options{SegmentBytes: 1 << 20, Format: msgcodec.FormatJSON})
+	j, err := OpenDir(dir, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := j.AppendRaw("state", msgcodec.FormatJSON.EncodeStateRec("task", uidN(i), "DONE")); err != nil {
-			t.Fatal(err)
-		}
+	appendState(t, j, uidN(0))
+	// Force the next records into their own fresh segment.
+	if err := func() error { j.mu.Lock(); defer j.mu.Unlock(); return j.rotateLocked() }(); err != nil {
+		t.Fatal(err)
 	}
+	appendState(t, j, uidN(1))
 	j.Close()
-
-	j2, err := OpenDir(dir, Options{SegmentBytes: 1 << 20}) // binary now
+	active := filepath.Join(dir, SegmentName(2))
+	appendBytes(t, active, framed(legacyJSONRecord(5, "state", `{"entity":"task","uid":"t.json","state":"DONE"}`)))
+	before, err := os.ReadFile(active)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force the binary records into their own fresh segment.
-	if err := func() error { j2.mu.Lock(); defer j2.mu.Unlock(); return j2.rotateLocked() }(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 3; i < 6; i++ {
-		appendState(t, j2, uidN(i))
-	}
-	j2.Close()
 
-	uids := stateUIDs(t, dir)
-	if len(uids) != 6 {
-		t.Fatalf("mixed-format replay yielded %d state records, want 6 (%q)", len(uids), uids)
+	if err := ReplayDir(dir, func(Record) error { return nil }); err == nil {
+		t.Fatal("ReplayDir accepted a legacy JSON record")
 	}
-	for i, uid := range uids {
-		if uid != uidN(i) {
-			t.Fatalf("record %d = %q, want %q", i, uid, uidN(i))
-		}
+	if j, err := OpenDir(dir, Options{}); err == nil {
+		j.Close()
+		t.Fatal("OpenDir accepted a legacy JSON record")
+	}
+	if after, err := os.ReadFile(active); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("active segment changed from %d bytes to %d (err=%v)", len(before), len(after), err)
 	}
 }
 

@@ -1,10 +1,5 @@
 package msgcodec
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
 // ---- entkd daemon frames -------------------------------------------------
 //
 // The daemon's unix-socket protocol reuses the control-plane wire layer:
@@ -19,12 +14,12 @@ import (
 type DaemonSubmit struct {
 	// Tenant names the submitting tenant for fairness and quota accounting;
 	// empty selects the daemon's default tenant.
-	Tenant string `json:"tenant,omitempty"`
+	Tenant string
 	// Journal asks the daemon to give the run a durable per-run journal
 	// directory, making it individually resumable.
-	Journal bool `json:"journal,omitempty"`
+	Journal bool
 	// AppJSON is the raw appjson document (internal/appjson schema).
-	AppJSON []byte `json:"app_json"`
+	AppJSON []byte
 }
 
 // RunOp is the daemon protocol's generic operation frame. Requests set Op
@@ -34,37 +29,28 @@ type DaemonSubmit struct {
 // frames terminated by an Op "end" frame. Keeping one frame shape for all
 // of these is what holds the wire surface to two new frame types.
 type RunOp struct {
-	Op    string   `json:"op"`
-	RunID string   `json:"run_id,omitempty"`
-	OK    bool     `json:"ok,omitempty"`
-	Err   string   `json:"err,omitempty"`
-	Strs  []string `json:"strs,omitempty"`
-	Ints  []int64  `json:"ints,omitempty"`
-	Data  []byte   `json:"data,omitempty"`
+	Op    string
+	RunID string
+	OK    bool
+	Err   string
+	Strs  []string
+	Ints  []int64
+	Data  []byte
 }
 
-// EncodeDaemonSubmit encodes a submission request in format f.
-func (f Format) EncodeDaemonSubmit(s DaemonSubmit) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(s)
-	}
+// EncodeDaemonSubmit encodes a submission request.
+func (Format) EncodeDaemonSubmit(s DaemonSubmit) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameDaemonSubmit)
 	buf = appendString(buf, s.Tenant)
 	buf = appendBool(buf, s.Journal)
 	buf = appendBytes(buf, s.AppJSON)
-	return putBuf(bp, buf), nil
+	return putBuf(bp, buf)
 }
 
-// DecodeDaemonSubmit decodes a submission request of either format.
+// DecodeDaemonSubmit decodes a submission request.
 func DecodeDaemonSubmit(body []byte) (DaemonSubmit, error) {
 	var s DaemonSubmit
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &s); err != nil {
-			return DaemonSubmit{}, fmt.Errorf("msgcodec: daemon submit: %w", err)
-		}
-		return s, nil
-	}
 	r, err := frameReader(body, FrameDaemonSubmit)
 	if err != nil {
 		return DaemonSubmit{}, err
@@ -81,11 +67,8 @@ func DecodeDaemonSubmit(body []byte) (DaemonSubmit, error) {
 	return s, nil
 }
 
-// EncodeRunOp encodes a run-operation frame in format f.
-func (f Format) EncodeRunOp(op RunOp) ([]byte, error) {
-	if f == FormatJSON {
-		return json.Marshal(op)
-	}
+// EncodeRunOp encodes a run-operation frame.
+func (Format) EncodeRunOp(op RunOp) []byte {
 	bp, buf := getBuf()
 	buf = appendHeader(buf, FrameDaemonRunOp)
 	buf = appendString(buf, op.Op)
@@ -101,18 +84,12 @@ func (f Format) EncodeRunOp(op RunOp) ([]byte, error) {
 		buf = appendVarint(buf, v)
 	}
 	buf = appendBytes(buf, op.Data)
-	return putBuf(bp, buf), nil
+	return putBuf(bp, buf)
 }
 
-// DecodeRunOp decodes a run-operation frame of either format.
+// DecodeRunOp decodes a run-operation frame.
 func DecodeRunOp(body []byte) (RunOp, error) {
 	var op RunOp
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &op); err != nil {
-			return RunOp{}, fmt.Errorf("msgcodec: daemon run op: %w", err)
-		}
-		return op, nil
-	}
 	r, err := frameReader(body, FrameDaemonRunOp)
 	if err != nil {
 		return RunOp{}, err

@@ -1,42 +1,34 @@
-// Package msgcodec implements the versioned wire-format layer for every
-// steady-state control-plane message in the stack: pending-queue task-UID
-// batches, synchronizer transition frames and acks, done-queue task-result
-// batches, Fig 6 prototype task bodies, journal record framing and the
-// broker's durability records.
+// Package msgcodec implements the versioned binary wire-format layer for
+// every steady-state control-plane message in the stack: pending-queue
+// task-UID batches, synchronizer transition frames and acks, done-queue
+// task-result batches, Fig 6 prototype task bodies, journal record framing
+// and the broker's durability records.
 //
-// Two formats share one decode path. The binary format (the default) frames
-// each message as
+// Each message is one frame,
 //
 //	[magic 0xBF] [version] [frame type] [typed payload]
 //
 // with varint/length-prefixed fields and pooled scratch buffers, so the
 // steady-state cost of an encode is one allocation — the exact-size body —
-// regardless of batch width. The JSON format (`WireFormat: "json"`) keeps
-// every message human-readable for debugging and inspection. Decoders sniff
-// the first byte: a magic byte selects the binary path, anything else falls
-// back to JSON — which is also what keeps replay of pre-existing JSON
-// journals and mixed-version durable queues working transparently. See
-// docs/wire-format.md for the layout and compatibility rules.
+// regardless of batch width. Decoders reject any body that does not start
+// with the magic byte, carries a newer version or holds another frame type.
+// See docs/wire-format.md for the layout and compatibility rules.
 package msgcodec
 
-import (
-	"encoding/json"
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// Magic is the first byte of every binary frame. It can never begin a JSON
-// document (0xBF is a UTF-8 continuation byte), which is what makes
-// format sniffing unambiguous.
+// Magic is the first byte of every frame. It can never begin a JSON
+// document (0xBF is a UTF-8 continuation byte), so a body written by an
+// older JSON-format build is rejected instead of misparsed.
 const Magic byte = 0xBF
 
-// Version is the current binary wire-format version, written as the second
-// byte of every frame. Decoders reject frames with a newer version instead
-// of misparsing them.
+// Version is the current wire-format version, written as the second byte
+// of every frame. Decoders reject frames with a newer version instead of
+// misparsing them.
 const Version byte = 1
 
-// Frame types, written as the third byte of every binary frame. A decoder
-// for one message type rejects frames of another instead of misparsing.
+// Frame types, written as the third byte of every frame. A decoder for one
+// message type rejects frames of another instead of misparsing.
 const (
 	FrameTaskUIDs    byte = 0x01 // pending-queue task-UID batch
 	FrameSyncFrame   byte = 0x02 // synchronizer transition-request frame
@@ -58,9 +50,7 @@ const (
 	FrameDaemonRunOp  byte = 0x21 // entkd run operation (request and response)
 
 	// Remote control-plane frames (the transport links between a manager,
-	// its entk-agent processes and remote event subscribers). These frames
-	// are binary-only: they never land in journals or durable queues, so
-	// they carry no JSON fallback (docs/wire-format.md, "Remote frames").
+	// its entk-agent processes and remote event subscribers).
 	FramePing       byte = 0x30 // transport keepalive probe
 	FramePong       byte = 0x31 // transport keepalive reply
 	FrameHello      byte = 0x32 // connection handshake (role, name, capacity)
@@ -71,9 +61,10 @@ const (
 	FrameEventEnd   byte = 0x37 // event stream end (final drop count)
 )
 
-// FrameType returns the frame-type byte of a binary frame body, or false for
-// JSON bodies and fragments too short to carry a header. Connection loops use
-// it to route an incoming frame to its decoder.
+// FrameType returns the frame-type byte of a frame body, or false for
+// bodies that do not start with the magic byte and fragments too short to
+// carry a header. Connection loops use it to route an incoming frame to
+// its decoder.
 func FrameType(body []byte) (byte, bool) {
 	if len(body) < 3 || body[0] != Magic {
 		return 0, false
@@ -81,44 +72,12 @@ func FrameType(body []byte) (byte, bool) {
 	return body[2], true
 }
 
-// Format selects the encoding of control-plane messages. The zero value is
-// the binary format.
+// Format is the receiver of the Encode* methods. FormatBinary, the zero
+// value, is its only value.
 type Format uint8
 
-const (
-	// FormatBinary is the versioned binary framing — the default.
-	FormatBinary Format = iota
-	// FormatJSON keeps every control message human-readable; decoders
-	// accept it unconditionally, so it is safe to flip per run.
-	FormatJSON
-)
-
-// String returns the knob spelling of the format.
-func (f Format) String() string {
-	if f == FormatJSON {
-		return "json"
-	}
-	return "binary"
-}
-
-// ParseFormat parses the WireFormat knob. The empty string selects the
-// binary default.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "", "binary":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	default:
-		return FormatBinary, fmt.Errorf("msgcodec: unknown wire format %q (want \"binary\" or \"json\")", s)
-	}
-}
-
-// IsBinary reports whether body carries a binary frame (as opposed to a
-// JSON document).
-func IsBinary(body []byte) bool {
-	return len(body) > 0 && body[0] == Magic
-}
+// FormatBinary is the versioned binary framing.
+const FormatBinary Format = 0
 
 var bufPool = sync.Pool{
 	New: func() any {
@@ -146,28 +105,9 @@ func putBuf(bp *[]byte, buf []byte) []byte {
 
 // ---- pending-queue task-UID batches -------------------------------------
 
-// pendingMsg is the JSON wire shape of one pending-queue message, kept
-// compatible with the original encoding so mixed-version durable journals
-// replay cleanly.
-type pendingMsg struct {
-	TaskUIDs []string `json:"task_uids"`
-}
-
-// EncodeTaskUIDs encodes a pending-queue message for the given task UIDs in
-// format f. Infallible: both formats are hand-rolled appends.
-func (f Format) EncodeTaskUIDs(uids []string) []byte {
+// EncodeTaskUIDs encodes a pending-queue message for the given task UIDs.
+func (Format) EncodeTaskUIDs(uids []string) []byte {
 	bp, buf := getBuf()
-	if f == FormatJSON {
-		buf = append(buf, `{"task_uids":[`...)
-		for i, uid := range uids {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, uid)
-		}
-		buf = append(buf, ']', '}')
-		return putBuf(bp, buf)
-	}
 	buf = appendHeader(buf, FrameTaskUIDs)
 	buf = appendUvarint(buf, uint64(len(uids)))
 	for _, uid := range uids {
@@ -181,57 +121,21 @@ func (f Format) EncodeTaskUID(uid string) []byte {
 	return f.EncodeTaskUIDs([]string{uid})
 }
 
-// DecodeTaskUIDs decodes a pending-queue message body of either format.
+// DecodeTaskUIDs decodes a pending-queue message body.
 func DecodeTaskUIDs(body []byte) ([]string, error) {
-	if IsBinary(body) {
-		r, err := frameReader(body, FrameTaskUIDs)
-		if err != nil {
+	r, err := frameReader(body, FrameTaskUIDs)
+	if err != nil {
+		return nil, err
+	}
+	n, err := r.count()
+	if err != nil {
+		return nil, err
+	}
+	uids := make([]string, n)
+	for i := range uids {
+		if uids[i], err = r.str(); err != nil {
 			return nil, err
 		}
-		n, err := r.count()
-		if err != nil {
-			return nil, err
-		}
-		uids := make([]string, n)
-		for i := range uids {
-			if uids[i], err = r.str(); err != nil {
-				return nil, err
-			}
-		}
-		return uids, nil
 	}
-	var msg pendingMsg
-	if err := json.Unmarshal(body, &msg); err != nil {
-		return nil, fmt.Errorf("msgcodec: pending message: %w", err)
-	}
-	return msg.TaskUIDs, nil
-}
-
-// appendJSONString appends s as a JSON string literal. Typical UIDs
-// ("task.000042") take the zero-extra-allocation fast path; anything
-// containing characters that need escaping falls back to encoding/json,
-// which handles escapes and invalid UTF-8 exactly like the original path.
-func appendJSONString(buf []byte, s string) []byte {
-	if jsonSafe(s) {
-		buf = append(buf, '"')
-		buf = append(buf, s...)
-		return append(buf, '"')
-	}
-	b, err := json.Marshal(s)
-	if err != nil { // unreachable: strings always marshal
-		return append(buf, '"', '"')
-	}
-	return append(buf, b...)
-}
-
-// jsonSafe reports whether s can be embedded in a JSON string verbatim:
-// printable ASCII with no quote or backslash.
-func jsonSafe(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
+	return uids, nil
 }

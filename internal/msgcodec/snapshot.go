@@ -1,18 +1,12 @@
 package msgcodec
 
-import (
-	"encoding/json"
-	"fmt"
-	"strconv"
-)
-
 // ---- statedb snapshots ---------------------------------------------------
 
 // SnapEntry is one entity's latest committed state inside a snapshot.
 type SnapEntry struct {
-	Entity string `json:"entity"` // "task" | "stage" | "pipeline"
-	UID    string `json:"uid"`
-	State  string `json:"state"`
+	Entity string // "task" | "stage" | "pipeline"
+	UID    string
+	State  string
 }
 
 // Snapshot is the durable image of every entity's latest committed state as
@@ -21,34 +15,13 @@ type SnapEntry struct {
 // replay of the full journal would have produced — which is the invariant
 // that makes compacting segments wholly below the watermark safe.
 type Snapshot struct {
-	Watermark uint64      `json:"watermark"`
-	Entries   []SnapEntry `json:"entries"`
+	Watermark uint64
+	Entries   []SnapEntry
 }
 
-// EncodeSnapshot encodes a snapshot in format f. Infallible: both paths are
-// hand-rolled appends.
-func (f Format) EncodeSnapshot(s Snapshot) []byte {
+// EncodeSnapshot encodes a snapshot.
+func (Format) EncodeSnapshot(s Snapshot) []byte {
 	bp, buf := getBuf()
-	if f == FormatJSON {
-		buf = append(buf, `{"watermark":`...)
-		buf = strconv.AppendUint(buf, s.Watermark, 10)
-		buf = append(buf, `,"entries":[`...)
-		for i := range s.Entries {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			e := &s.Entries[i]
-			buf = append(buf, `{"entity":`...)
-			buf = appendJSONString(buf, e.Entity)
-			buf = append(buf, `,"uid":`...)
-			buf = appendJSONString(buf, e.UID)
-			buf = append(buf, `,"state":`...)
-			buf = appendJSONString(buf, e.State)
-			buf = append(buf, '}')
-		}
-		buf = append(buf, ']', '}')
-		return putBuf(bp, buf)
-	}
 	buf = appendHeader(buf, FrameSnapshot)
 	buf = appendUvarint(buf, s.Watermark)
 	buf = appendUvarint(buf, uint64(len(s.Entries)))
@@ -61,15 +34,9 @@ func (f Format) EncodeSnapshot(s Snapshot) []byte {
 	return putBuf(bp, buf)
 }
 
-// DecodeSnapshot decodes a snapshot of either format.
+// DecodeSnapshot decodes a snapshot.
 func DecodeSnapshot(body []byte) (Snapshot, error) {
 	var s Snapshot
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &s); err != nil {
-			return Snapshot{}, fmt.Errorf("msgcodec: snapshot: %w", err)
-		}
-		return s, nil
-	}
 	r, err := frameReader(body, FrameSnapshot)
 	if err != nil {
 		return Snapshot{}, err
@@ -107,37 +74,22 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 // sanity-label segments; recovery tooling uses it to tell where a segment
 // sits in the sequence space without scanning the predecessor.
 type SegmentHeader struct {
-	Index   uint64 `json:"index"`
-	BaseSeq uint64 `json:"base_seq"`
+	Index   uint64
+	BaseSeq uint64
 }
 
-// EncodeSegmentHeader encodes a segment header in format f. Infallible:
-// both paths are hand-rolled appends.
-func (f Format) EncodeSegmentHeader(h SegmentHeader) []byte {
+// EncodeSegmentHeader encodes a segment header.
+func (Format) EncodeSegmentHeader(h SegmentHeader) []byte {
 	bp, buf := getBuf()
-	if f == FormatJSON {
-		buf = append(buf, `{"index":`...)
-		buf = strconv.AppendUint(buf, h.Index, 10)
-		buf = append(buf, `,"base_seq":`...)
-		buf = strconv.AppendUint(buf, h.BaseSeq, 10)
-		buf = append(buf, '}')
-		return putBuf(bp, buf)
-	}
 	buf = appendHeader(buf, FrameSegmentHdr)
 	buf = appendUvarint(buf, h.Index)
 	buf = appendUvarint(buf, h.BaseSeq)
 	return putBuf(bp, buf)
 }
 
-// DecodeSegmentHeader decodes a segment header of either format.
+// DecodeSegmentHeader decodes a segment header.
 func DecodeSegmentHeader(body []byte) (SegmentHeader, error) {
 	var h SegmentHeader
-	if !IsBinary(body) {
-		if err := json.Unmarshal(body, &h); err != nil {
-			return SegmentHeader{}, fmt.Errorf("msgcodec: segment header: %w", err)
-		}
-		return h, nil
-	}
 	r, err := frameReader(body, FrameSegmentHdr)
 	if err != nil {
 		return SegmentHeader{}, err

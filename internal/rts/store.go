@@ -7,6 +7,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/msgcodec"
 )
 
 // store is the task mailbox between the UnitManager and the Agent — the
@@ -83,10 +84,9 @@ func newStore(jrn *journal.Journal, shards int) *store {
 }
 
 // storeRecType namespaces the store's audit records in the journal. The
-// payload is a typed msgcodec.StoreRec frame (binary by default, matching
-// the journal's record framing), one record per Push or Pull/PullBatch
-// call, covering every task the call moved — one append amortized over the
-// whole operation.
+// payload is a typed msgcodec.StoreRec frame, one record per Push or
+// Pull/PullBatch call, covering every task the call moved — one append
+// amortized over the whole operation.
 const storeRecType = "rts.store"
 
 func (s *store) journalOp(op string, tasks []core.TaskDescription) error {
@@ -97,7 +97,7 @@ func (s *store) journalOp(op string, tasks []core.TaskDescription) error {
 	for i, t := range tasks {
 		uids[i] = t.UID
 	}
-	_, err := s.jrn.AppendRaw(storeRecType, s.jrn.Format().EncodeStoreRec(op, uids))
+	_, err := s.jrn.AppendRaw(storeRecType, msgcodec.FormatBinary.EncodeStoreRec(op, uids))
 	return err
 }
 

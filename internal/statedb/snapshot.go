@@ -18,8 +18,8 @@ import (
 // journal records use — and is written to a temporary file and renamed into
 // place, so a crash mid-snapshot leaves either the previous snapshot or a
 // stray .tmp file, never a half-readable one. Loaders additionally validate
-// the CRC and skip undecodable files, falling back to the next-newest
-// snapshot.
+// the length and CRC and skip torn files, falling back to the next-newest
+// snapshot; an intact file that does not decode is an error.
 
 // snapPrefix/snapSuffix define the snapshot naming scheme,
 // "snapshot-<watermark>.snap" with the watermark as fixed-width hex so
@@ -94,14 +94,14 @@ func (db *DB) Restore(entries []msgcodec.SnapEntry) error {
 	return nil
 }
 
-// WriteSnapshot atomically persists snap into dir in format f, returning
-// the snapshot file's path. On success, snapshot generations older than the
-// newest keepSnapshots are pruned (best effort).
-func WriteSnapshot(dir string, snap msgcodec.Snapshot, f msgcodec.Format) (string, error) {
+// WriteSnapshot atomically persists snap into dir, returning the snapshot
+// file's path. On success, snapshot generations older than the newest
+// keepSnapshots are pruned (best effort).
+func WriteSnapshot(dir string, snap msgcodec.Snapshot) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("statedb: snapshot mkdir: %w", err)
 	}
-	payload := f.EncodeSnapshot(snap)
+	payload := msgcodec.FormatBinary.EncodeSnapshot(snap)
 	buf := make([]byte, snapHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
@@ -170,14 +170,20 @@ func listSnapshots(dir string) ([]uint64, map[uint64]string) {
 	return wms, byWM
 }
 
-// LoadLatestSnapshot returns the newest valid snapshot in dir. A torn,
-// truncated or undecodable snapshot file is skipped in favor of the
-// next-newest one — the crash-mid-snapshot fallback. ok is false when no
-// valid snapshot exists (including a missing directory).
+// LoadLatestSnapshot returns the newest valid snapshot in dir. A torn or
+// truncated snapshot file is skipped in favor of the next-newest one — the
+// crash-mid-snapshot fallback. An intact file (length and CRC check out)
+// that does not decode was written by an incompatible build; it is an
+// error, because its predecessor may cover less than the journal tail that
+// compaction kept. ok is false when no valid snapshot exists (including a
+// missing directory).
 func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error) {
 	wms, byWM := listSnapshots(dir)
 	for _, wm := range wms {
-		s, valid := readSnapshot(byWM[wm])
+		s, valid, err := readSnapshot(byWM[wm])
+		if err != nil {
+			return msgcodec.Snapshot{}, false, err
+		}
 		if valid {
 			return s, true, nil
 		}
@@ -185,24 +191,25 @@ func LoadLatestSnapshot(dir string) (snap msgcodec.Snapshot, ok bool, err error)
 	return msgcodec.Snapshot{}, false, nil
 }
 
-// readSnapshot decodes one snapshot file, reporting validity.
-func readSnapshot(path string) (msgcodec.Snapshot, bool) {
+// readSnapshot decodes one snapshot file, reporting validity. A torn file
+// is invalid; an intact one that does not decode is an error.
+func readSnapshot(path string) (msgcodec.Snapshot, bool, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil || len(buf) < snapHeaderLen {
-		return msgcodec.Snapshot{}, false
+		return msgcodec.Snapshot{}, false, nil
 	}
 	n := binary.LittleEndian.Uint32(buf[0:4])
 	crc := binary.LittleEndian.Uint32(buf[4:8])
-	if int(n) != len(buf)-snapHeaderLen {
-		return msgcodec.Snapshot{}, false
+	if n == 0 || int(n) != len(buf)-snapHeaderLen {
+		return msgcodec.Snapshot{}, false, nil
 	}
 	payload := buf[snapHeaderLen:]
 	if crc32.ChecksumIEEE(payload) != crc {
-		return msgcodec.Snapshot{}, false
+		return msgcodec.Snapshot{}, false, nil
 	}
 	s, err := msgcodec.DecodeSnapshot(payload)
 	if err != nil {
-		return msgcodec.Snapshot{}, false
+		return msgcodec.Snapshot{}, false, fmt.Errorf("statedb: snapshot %s is intact but does not decode: %w", path, err)
 	}
-	return s, true
+	return s, true, nil
 }

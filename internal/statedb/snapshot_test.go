@@ -1,8 +1,12 @@
 package statedb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -25,49 +29,47 @@ func TestSnapshotNameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip pins the full disk round trip for both wire formats:
-// a DB's entries written with WriteSnapshot load back identically via
-// LoadLatestSnapshot and seed a fresh DB via Restore.
+// TestSnapshotRoundTrip pins the full disk round trip: a DB's entries
+// written with WriteSnapshot load back identically via LoadLatestSnapshot
+// and seed a fresh DB via Restore.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, f := range []msgcodec.Format{msgcodec.FormatBinary, msgcodec.FormatJSON} {
-		dir := t.TempDir()
-		db := New()
-		saves := []struct{ entity, uid, state string }{
-			{"task", "task.1", "SCHEDULED"},
-			{"task", "task.1", "DONE"}, // latest wins
-			{"task", "task.2", "FAILED"},
-			{"stage", "stage.1", "DONE"},
-			{"pipeline", "pipe.1", "SCHEDULING"},
-		}
-		for _, s := range saves {
-			if err := db.SaveState(s.entity, s.uid, s.state); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap := msgcodec.Snapshot{Watermark: 42, Entries: db.SnapshotEntries()}
-		if _, err := WriteSnapshot(dir, snap, f); err != nil {
+	dir := t.TempDir()
+	db := New()
+	saves := []struct{ entity, uid, state string }{
+		{"task", "task.1", "SCHEDULED"},
+		{"task", "task.1", "DONE"}, // latest wins
+		{"task", "task.2", "FAILED"},
+		{"stage", "stage.1", "DONE"},
+		{"pipeline", "pipe.1", "SCHEDULING"},
+	}
+	for _, s := range saves {
+		if err := db.SaveState(s.entity, s.uid, s.state); err != nil {
 			t.Fatal(err)
 		}
+	}
+	snap := msgcodec.Snapshot{Watermark: 42, Entries: db.SnapshotEntries()}
+	if _, err := WriteSnapshot(dir, snap); err != nil {
+		t.Fatal(err)
+	}
 
-		got, ok, err := LoadLatestSnapshot(dir)
-		if err != nil || !ok {
-			t.Fatalf("%v: LoadLatestSnapshot: ok=%v err=%v", f, ok, err)
-		}
-		if got.Watermark != 42 || len(got.Entries) != 4 {
-			t.Fatalf("%v: snapshot drifted: %+v", f, got)
-		}
+	got, ok, err := LoadLatestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("LoadLatestSnapshot: ok=%v err=%v", ok, err)
+	}
+	if got.Watermark != 42 || len(got.Entries) != 4 {
+		t.Fatalf("snapshot drifted: %+v", got)
+	}
 
-		db2 := New()
-		if err := db2.Restore(got.Entries); err != nil {
-			t.Fatal(err)
-		}
-		states, err := db2.LoadTaskStates()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if states["task.1"] != "DONE" || states["task.2"] != "FAILED" || len(states) != 2 {
-			t.Fatalf("%v: restored task states drifted: %v", f, states)
-		}
+	db2 := New()
+	if err := db2.Restore(got.Entries); err != nil {
+		t.Fatal(err)
+	}
+	states, err := db2.LoadTaskStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if states["task.1"] != "DONE" || states["task.2"] != "FAILED" || len(states) != 2 {
+		t.Fatalf("restored task states drifted: %v", states)
 	}
 }
 
@@ -95,7 +97,7 @@ func TestWriteSnapshotPrunesOldGenerations(t *testing.T) {
 	db := New()
 	db.SaveState("task", "t.1", "DONE") //nolint:errcheck
 	for wm := uint64(1); wm <= 5; wm++ {
-		if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: wm, Entries: db.SnapshotEntries()}, msgcodec.FormatBinary); err != nil {
+		if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: wm, Entries: db.SnapshotEntries()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,11 +117,11 @@ func TestLoadLatestSkipsTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	db := New()
 	db.SaveState("task", "t.1", "DONE") //nolint:errcheck
-	if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 10, Entries: db.SnapshotEntries()}, msgcodec.FormatBinary); err != nil {
+	if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 10, Entries: db.SnapshotEntries()}); err != nil {
 		t.Fatal(err)
 	}
 	db.SaveState("task", "t.2", "DONE") //nolint:errcheck
-	path, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 20, Entries: db.SnapshotEntries()}, msgcodec.FormatBinary)
+	path, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 20, Entries: db.SnapshotEntries()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,4 +189,83 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// framedSnapshot wraps payload in the snapshot file's [len][CRC32] framing,
+// so the payload passes its CRC whatever it holds.
+func framedSnapshot(payload []byte) []byte {
+	buf := make([]byte, snapHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	copy(buf[snapHeaderLen:], payload)
+	return buf
+}
+
+// legacyJSONSnapshot is a snapshot file as a JSON-format build wrote it.
+var legacyJSONSnapshot = framedSnapshot([]byte(`{"watermark":20,"entries":[{"entity":"task","uid":"t.1","state":"DONE"}]}`))
+
+// futureVersionSnapshot is a snapshot file whose frame carries a version
+// byte one past what this build speaks.
+func futureVersionSnapshot() []byte {
+	payload := msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 20})
+	payload[1] = msgcodec.Version + 1
+	return framedSnapshot(payload)
+}
+
+// TestLoadLatestRejectsUndecodableSnapshot pins the other half of the
+// fallback rule: a newest snapshot that is intact (length and CRC check
+// out) but does not decode is an error, not a torn file to skip — its
+// predecessor may cover less than the journal tail compaction kept.
+func TestLoadLatestRejectsUndecodableSnapshot(t *testing.T) {
+	for name, body := range map[string][]byte{"legacy JSON": legacyJSONSnapshot, "version 2": futureVersionSnapshot()} {
+		dir := t.TempDir()
+		db := New()
+		db.SaveState("task", "t.1", "DONE") //nolint:errcheck
+		if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 10, Entries: db.SnapshotEntries()}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, SnapshotName(20))
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if snap, ok, err := LoadLatestSnapshot(dir); err == nil {
+			t.Fatalf("%s: LoadLatestSnapshot = %+v, ok=%v; want an error", name, snap, ok)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%s: snapshot file changed (err=%v)", name, err)
+		}
+	}
+}
+
+// FuzzLoadLatestSnapshot feeds arbitrary bytes to LoadLatestSnapshot as
+// the newest snapshot file, with a valid predecessor beside it. It must
+// never panic, never allocate beyond a small multiple of the file size, and
+// when it returns no error it finds a snapshot (the predecessor at worst).
+func FuzzLoadLatestSnapshot(f *testing.F) {
+	valid := framedSnapshot(msgcodec.FormatBinary.EncodeSnapshot(msgcodec.Snapshot{Watermark: 20, Entries: []msgcodec.SnapEntry{
+		{Entity: "task", UID: "t.1", State: "DONE"}, {Entity: "task", UID: "t.2", State: "DONE"}}}))
+	f.Add(valid)
+	f.Add(legacyJSONSnapshot)
+	f.Add(valid[:len(valid)-3])
+	f.Add(futureVersionSnapshot())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if _, err := WriteSnapshot(dir, msgcodec.Snapshot{Watermark: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, SnapshotName(20)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, ok, err := LoadLatestSnapshot(dir)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(data)+64<<10); got > limit {
+			t.Fatalf("allocated %d bytes for a %d-byte file (limit %d)", got, len(data), limit)
+		}
+		if err == nil && !ok {
+			t.Fatal("valid predecessor not found")
+		}
+	})
 }

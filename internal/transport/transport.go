@@ -6,9 +6,8 @@
 // the remote-RTS agent links speak this framing — it is the one length-prefix
 // implementation in the tree (docs/wire-format.md, "Socket framing").
 //
-// The framing is format-agnostic: a frame body is a msgcodec message of
-// either wire format, and the payload's own magic byte (or its absence)
-// selects the binary or JSON decode path exactly as on the broker queues.
+// The framing is payload-agnostic: a frame body is one msgcodec frame,
+// routed by its type byte (msgcodec.FrameType).
 package transport
 
 import (
