@@ -24,7 +24,7 @@ GO ?= go
 # is a hard failure while ns/op stays warn-only (see docs/ci.md).
 BENCH_GATE := ^(BenchmarkBroker|BenchmarkAblationBrokerConsumers|BenchmarkAblationSchedulers|BenchmarkEventStreamOverhead|BenchmarkSyncTransition|BenchmarkFig6Codec|BenchmarkRecovery|BenchmarkDaemonMultiRun|BenchmarkRemoteRoundTrip|BenchmarkAutotuneOverhead|BenchmarkAblationAutotune)
 
-.PHONY: build test bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke
+.PHONY: build test bench lint bench-json bench-gate bench-baseline check-artifacts daemon-smoke remote-smoke entkbench-smoke
 
 build:
 	$(GO) build ./...
@@ -79,3 +79,13 @@ daemon-smoke:
 # assert every task DONE with zero stranded frames.
 remote-smoke:
 	./scripts/remote-smoke.sh
+
+# The end-to-end benchmark (entkbench/) is a module of its own, so the root
+# `go test ./...` never builds it. Vet and test it, then run one short chain
+# measurement and fail unless its last line (the result object) reports
+# correct outputs.
+entkbench-smoke:
+	cd entkbench && $(GO) vet ./... && $(GO) test ./...
+	@out=$$(bash entkbench/run.sh --workload chain --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+	last=$$(echo "$$out" | tail -n 1); echo "$$last"; \
+	case "$$last" in *'"correct":true'*) ;; *) echo "entkbench-smoke: result is not correct"; exit 1;; esac

@@ -494,13 +494,12 @@ func TestPendingMsgEncodeAllocs(t *testing.T) {
 
 // TestSyncFrameEncodeAllocs asserts the binary sync-frame encoder's
 // contract on the scheduleStage shape: one frame carrying a stage
-// transition plus two 64-task bulk transitions costs one allocation.
+// transition plus a two-step path over 64 tasks costs one allocation.
 func TestSyncFrameEncodeAllocs(t *testing.T) {
 	uids := benchUIDs()
 	frame := msgcodec.SyncFrame{Reply: "sync-ack-enq", Seq: 42, Reqs: []msgcodec.SyncRequest{
-		{Entity: "stage", UID: "stage.0001", Target: "SCHEDULING"},
-		{Entity: "task", UIDs: uids, Target: "SCHEDULING"},
-		{Entity: "task", UIDs: uids, Target: "SCHEDULED"},
+		{Entity: "stage", UID: "stage.0001", Path: []string{"SCHEDULING"}},
+		{Entity: "task", UIDs: uids, Path: []string{"SCHEDULING", "SCHEDULED"}},
 	}}
 	assertAllocs(t, "EncodeSyncFrame", 1, func() {
 		encodeSink = msgcodec.FormatBinary.EncodeSyncFrame(frame)
@@ -597,8 +596,9 @@ func syncEchoServer(b *testing.B, br *broker.Broker) {
 // BenchmarkSyncTransition measures what one 64-task stage costs in
 // synchronizer round-trips: the per-task shape (one frame per task per
 // transition — 128 round-trips, the pre-batching control plane) against the
-// batched shape (one frame carrying both bulk transitions — O(1)
-// round-trips, the scheduleStage fast path). Reported as stages/s.
+// batched shape (one frame carrying one two-step path over the stage's
+// tasks — O(1) round-trips, the scheduleStage fast path). Reported as
+// stages/s.
 func BenchmarkSyncTransition(b *testing.B) {
 	uids := benchUIDs()
 	const reply = "sync-ack-bench"
@@ -646,7 +646,7 @@ func BenchmarkSyncTransition(b *testing.B) {
 					seq++
 					frames = append(frames, msgcodec.SyncFrame{
 						Reply: reply, Seq: seq,
-						Reqs: []msgcodec.SyncRequest{{Entity: "task", UID: uid, Target: target}},
+						Reqs: []msgcodec.SyncRequest{{Entity: "task", UID: uid, Path: []string{target}}},
 					})
 				}
 			}
@@ -656,8 +656,7 @@ func BenchmarkSyncTransition(b *testing.B) {
 	b.Run("batched-frame", func(b *testing.B) {
 		run(b, func(seq uint64) []msgcodec.SyncFrame {
 			return []msgcodec.SyncFrame{{Reply: reply, Seq: seq + 1, Reqs: []msgcodec.SyncRequest{
-				{Entity: "task", UIDs: uids, Target: "SCHEDULING"},
-				{Entity: "task", UIDs: uids, Target: "SCHEDULED"},
+				{Entity: "task", UIDs: uids, Path: []string{"SCHEDULING", "SCHEDULED"}},
 			}}}
 		})
 	})

@@ -400,6 +400,17 @@ func (am *AppManager) Task(uid string) (*Task, bool) {
 	return t, ok
 }
 
+// appendTasks appends the task registered under each UID to dst — nil for
+// an unknown UID — taking the lock once for the whole list.
+func (am *AppManager) appendTasks(dst []*Task, uids []string) []*Task {
+	am.mu.Lock()
+	defer am.mu.Unlock()
+	for _, uid := range uids {
+		dst = append(dst, am.tasks[uid])
+	}
+	return dst
+}
+
 // TaskCount returns the number of registered tasks.
 func (am *AppManager) TaskCount() int {
 	am.mu.Lock()

@@ -342,7 +342,7 @@ func TestSynchronizerSkipSemantics(t *testing.T) {
 	pipe := pipes[0]
 	task := pipe.Stages()[0].Tasks()[0]
 	req := func(entity, uid, target string) stateAck {
-		return s.apply(&stateRequest{Entity: entity, UID: uid, Target: target})
+		return s.apply(&stateRequest{Entity: entity, UID: uid, Path: []string{target}})
 	}
 
 	// Deferred completion: DONE against SUSPENDED is absorbed, not rejected

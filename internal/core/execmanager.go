@@ -29,6 +29,10 @@ type execManager struct {
 	emgrSync *syncClient
 	hbSync   *syncClient
 
+	// scheduled and submitting sort one Emgr batch by the state its tasks
+	// are in (Emgr goroutine only; reused across batches).
+	scheduled, submitting []*Task
+
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
@@ -122,38 +126,47 @@ func (e *execManager) emgrLoop(ctx context.Context) {
 // dropped as one nack batch, and the live remainder is acked or requeued as
 // one batch per outcome.
 func (e *execManager) submitBatch(batch []*broker.Delivery) error {
-	descs := make([]TaskDescription, 0, len(batch))
-	tasks := make([]*Task, 0, len(batch))
+	// Decode every message first, so the descriptions and tasks are sized
+	// once for the whole batch and filled in place.
+	lists := make([][]string, len(batch))
 	var drops []*broker.Delivery
-	live := make([]*broker.Delivery, 0, len(batch))
-	for _, d := range batch {
+	n := 0
+	for i, d := range batch {
 		uids, err := msgcodec.DecodeTaskUIDs(d.Body)
 		if err != nil {
 			drops = append(drops, d)
 			continue
 		}
+		lists[i] = uids
+		n += len(uids)
+	}
+	descs := make([]TaskDescription, 0, n)
+	tasks := make([]*Task, 0, n)
+	live := make([]*broker.Delivery, 0, len(batch))
+	for i, d := range batch {
+		if lists[i] == nil {
+			continue // malformed: dropped above
+		}
 		bad := false
-		ds := make([]TaskDescription, 0, len(uids))
-		ts := make([]*Task, 0, len(uids))
-		for _, uid := range uids {
-			t, ok := e.am.Task(uid)
-			if !ok {
+		kept := len(tasks)
+		tasks = e.am.appendTasks(tasks, lists[i])
+		for _, t := range tasks[kept:] {
+			switch {
+			case t == nil:
 				bad = true
-				continue
-			}
-			if t.State().Terminal() {
+			case t.State().Terminal():
 				// The task was canceled (or recovered as DONE) after its
 				// pending message was published; submitting it would only
 				// burn pilot cores on a result the Dequeue will discard.
-				continue
+			default:
+				tasks[kept] = t
+				kept++
+				descs = append(descs, describeTask(t))
 			}
-			ds = append(ds, describeTask(t))
-			ts = append(ts, t)
 		}
+		tasks = tasks[:kept]
 		// Resolvable tasks are submitted even when the message also named
 		// unknown ones; the message itself is then dropped, not requeued.
-		descs = append(descs, ds...)
-		tasks = append(tasks, ts...)
 		if bad {
 			drops = append(drops, d)
 			continue
@@ -163,23 +176,23 @@ func (e *execManager) submitBatch(batch []*broker.Delivery) error {
 	if err := broker.NackBatch(drops, false); err != nil {
 		return err
 	}
-	// Both transitions are applied in bulk before the RTS sees the batch:
-	// a fast RTS may otherwise report completion before SUBMITTED is
-	// recorded. Redelivered tasks (RTS refused a previous batch) skip
-	// transitions they already made.
-	var toSubmitting, toSubmitted []*Task
+	// Both transitions are applied before the RTS sees the batch: a fast
+	// RTS may otherwise report completion before SUBMITTED is recorded.
+	// Fresh tasks take the SUBMITTING -> SUBMITTED path in one request;
+	// redelivered tasks (the RTS refused a previous batch) skip the step
+	// they already made.
+	e.scheduled, e.submitting = e.scheduled[:0], e.submitting[:0]
 	for _, t := range tasks {
 		switch t.State() {
 		case TaskScheduled:
-			toSubmitting = append(toSubmitting, t)
-			toSubmitted = append(toSubmitted, t)
+			e.scheduled = append(e.scheduled, t)
 		case TaskSubmitting:
-			toSubmitted = append(toSubmitted, t)
+			e.submitting = append(e.submitting, t)
 		}
 	}
 	e.emgrSync.begin()
-	e.emgrSync.addTaskBatch(toSubmitting, TaskSubmitting)
-	e.emgrSync.addTaskBatch(toSubmitted, TaskSubmitted)
+	e.emgrSync.addTasks(e.scheduled, TaskSubmitting, TaskSubmitted)
+	e.emgrSync.addTasks(e.submitting, TaskSubmitted)
 	if err := e.emgrSync.flush(); err != nil {
 		broker.NackBatch(live, true) //nolint:errcheck
 		return err
@@ -337,12 +350,10 @@ func (e *execManager) failover(ctx context.Context, failed RTS) error {
 		if !ok {
 			continue
 		}
-		// The whole failed-attempt/reschedule sequence rides one sync frame.
+		// The whole failed-attempt/reschedule sequence is one path.
 		e.hbSync.begin()
-		e.hbSync.addTaskResult(t, TaskExecuted, -1, "rts failure")
-		e.hbSync.addTask(t, TaskFailed)
-		e.hbSync.addTask(t, TaskScheduling)
-		e.hbSync.addTask(t, TaskScheduled)
+		e.hbSync.addTaskResult([]*Task{t}, -1, "rts failure",
+			TaskExecuted, TaskFailed, TaskScheduling, TaskScheduled)
 		if err := e.hbSync.flush(); err != nil {
 			return err
 		}

@@ -152,7 +152,7 @@ func (am *AppManager) cancelPipeline(p *Pipeline) error {
 				live = append(live, t)
 			}
 		}
-		if err := am.ctl.taskBatch(live, TaskCanceled); err != nil {
+		if err := am.ctl.tasks(live, TaskCanceled); err != nil {
 			am.ctlMu.Unlock()
 			return err
 		}

@@ -13,9 +13,10 @@ import (
 // stateRequest is one transition request inside a sync frame — the message
 // components push through the "states" queue to ask AppManager's
 // Synchronizer for a transition (paper Fig 2, arrow 6). UIDs, when
-// non-empty, applies the same transition to a batch of entities in one
-// request — EnTK's bulk state updates, which keep the synchronization
-// traffic O(stages), not O(tasks). The wire codec lives in
+// non-empty, moves a batch of entities in one request — EnTK's bulk state
+// updates, which keep the synchronization traffic O(stages), not O(tasks)
+// — and Path lists the request's steps in order, so a bulk pair such as
+// SCHEDULING then SCHEDULED names its UIDs once. The wire codec lives in
 // internal/msgcodec.
 type stateRequest = msgcodec.SyncRequest
 
@@ -43,6 +44,27 @@ type synchronizer struct {
 	am       *AppManager
 	consumer *broker.Consumer
 	wg       sync.WaitGroup
+
+	// Per-request scratch, owned by the synchronizer goroutine: reused
+	// across requests so a bulk request grows no buffer per task, and
+	// cleared after each one so it pins no entity between requests.
+	refs    []ref     // the request's entities, resolved once
+	commits []applied // one step's committed transitions
+}
+
+// ref is one entity a request names, resolved once per request. Exactly one
+// field is set.
+type ref struct {
+	task  *Task
+	stage *Stage
+	pipe  *Pipeline
+}
+
+// applied is one transition a step committed (absorbed no-ops excluded),
+// kept for journaling and event publication.
+type applied struct {
+	ref
+	from string
 }
 
 func newSynchronizer(am *AppManager) *synchronizer {
@@ -133,126 +155,222 @@ func pipelineSkip(current, target PipelineState) bool {
 	return target == PipelineDone && current == PipelineSuspended // deferred
 }
 
-// apply validates and commits one transition (or one batch of identical
-// task transitions). Committed transitions are journaled, mirrored to the
-// state store, and published on the event bus — in that order, so an event
-// always describes a transition that was durably recorded.
+// apply validates and commits one request. Every entity is resolved once,
+// and the whole path is checked for every entity before any of them
+// changes, so a rejected request leaves state, journal and events as they
+// were. The path is then applied step by step: each step advances every
+// entity and commits what advanced — journal, state mirrors, events — in
+// that order, so an event always describes a durably recorded transition.
 func (s *synchronizer) apply(req *stateRequest) stateAck {
-	// applied collects the transitions that actually advanced (cancel
-	// no-ops are excluded), for journaling and event publication.
-	type applied struct {
-		task  *Task
-		stage *Stage
-		pipe  *Pipeline
-		uid   string
-		from  string
-	}
-	var commits []applied
-	var err error
-	switch req.Entity {
-	case "task":
-		uids := req.UIDs
-		if len(uids) == 0 {
-			uids = []string{req.UID}
-		}
-		for _, uid := range uids {
-			t, ok := s.am.Task(uid)
-			if !ok {
-				err = fmt.Errorf("core: unknown task %s", uid)
-				break
-			}
-			prev := t.State()
-			if taskSkip(prev, TaskState(req.Target)) {
-				continue
-			}
-			err = t.advance(TaskState(req.Target))
-			if err != nil {
-				break
-			}
-			if req.ExitCode != 0 || req.ExecErr != "" {
-				t.setResult(req.ExitCode, req.ExecErr)
-			}
-			s.trackActivity(prev, TaskState(req.Target))
-			commits = append(commits, applied{task: t, uid: uid, from: string(prev)})
-		}
-	case "stage":
-		s.am.mu.Lock()
-		st, ok := s.am.stages[req.UID]
-		s.am.mu.Unlock()
-		if !ok {
-			err = fmt.Errorf("core: unknown stage %s", req.UID)
-			break
-		}
-		prev := st.State()
-		if stageSkip(prev, StageState(req.Target)) {
-			break
-		}
-		if err = st.advance(StageState(req.Target)); err == nil {
-			commits = append(commits, applied{stage: st, uid: req.UID, from: string(prev)})
-		}
-	case "pipeline":
-		s.am.mu.Lock()
-		p, ok := s.am.pipes[req.UID]
-		s.am.mu.Unlock()
-		if !ok {
-			err = fmt.Errorf("core: unknown pipeline %s", req.UID)
-			break
-		}
-		prev := p.State()
-		if pipelineSkip(prev, PipelineState(req.Target)) {
-			break
-		}
-		if err = p.advance(PipelineState(req.Target)); err == nil {
-			commits = append(commits, applied{pipe: p, uid: req.UID, from: string(prev)})
-		}
-	default:
-		err = fmt.Errorf("core: unknown entity kind %q", req.Entity)
-	}
+	err := s.applyPath(req)
+	clear(s.refs)
+	s.refs = s.refs[:0]
 	if err != nil {
 		return stateAck{OK: false, Err: err.Error()}
 	}
-	if s.am.jrn != nil || s.am.cfg.StateStore != nil {
-		for _, c := range commits {
-			if s.am.jrn != nil {
-				rec := msgcodec.FormatBinary.EncodeStateRec(req.Entity, c.uid, req.Target)
-				if _, jerr := s.am.jrn.AppendRaw("state", rec); jerr != nil {
-					return stateAck{OK: false, Err: jerr.Error()}
+	return stateAck{OK: true}
+}
+
+func (s *synchronizer) applyPath(req *stateRequest) error {
+	if len(req.Path) == 0 {
+		return fmt.Errorf("core: %s request with an empty transition path", req.Entity)
+	}
+	if err := s.resolve(req); err != nil {
+		return err
+	}
+	// The synchronizer is the only writer of entity state once the run
+	// starts, so the states read here are the states the steps start from.
+	for _, r := range s.refs {
+		cur := r.state()
+		for _, to := range req.Path {
+			if r.skip(cur, to) {
+				continue
+			}
+			if !r.legal(cur, to) {
+				return &TransitionError{Entity: req.Entity, UID: r.uid(), From: cur, To: to}
+			}
+			cur = to
+		}
+	}
+	for _, to := range req.Path {
+		if err := s.step(req, to); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// resolve looks up every entity the request names, taking the AppManager
+// lock once per request rather than once per UID.
+func (s *synchronizer) resolve(req *stateRequest) error {
+	am := s.am
+	am.mu.Lock()
+	defer am.mu.Unlock()
+	if len(req.UIDs) == 0 {
+		return s.resolveLocked(req.Entity, req.UID)
+	}
+	for _, uid := range req.UIDs {
+		if err := s.resolveLocked(req.Entity, uid); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *synchronizer) resolveLocked(entity, uid string) error {
+	var r ref
+	var ok bool
+	switch entity {
+	case "task":
+		r.task, ok = s.am.tasks[uid]
+	case "stage":
+		r.stage, ok = s.am.stages[uid]
+	case "pipeline":
+		r.pipe, ok = s.am.pipes[uid]
+	default:
+		return fmt.Errorf("core: unknown entity kind %q", entity)
+	}
+	if !ok {
+		return fmt.Errorf("core: unknown %s %s", entity, uid)
+	}
+	s.refs = append(s.refs, r)
+	return nil
+}
+
+// step moves every resolved entity to one target state and commits the
+// transitions that advanced. A failure to advance still commits what
+// advanced before it, so state, journal and events never disagree.
+func (s *synchronizer) step(req *stateRequest, to string) error {
+	var err error
+	for _, r := range s.refs {
+		prev := r.state()
+		if r.skip(prev, to) {
+			continue
+		}
+		if err = r.advance(to); err != nil {
+			break
+		}
+		if t := r.task; t != nil {
+			if req.ExitCode != 0 || req.ExecErr != "" {
+				t.setResult(req.ExitCode, req.ExecErr)
+			}
+			s.trackActivity(TaskState(prev), TaskState(to))
+		}
+		s.commits = append(s.commits, applied{ref: r, from: prev})
+	}
+	cerr := s.commit(req.Entity, to)
+	clear(s.commits)
+	s.commits = s.commits[:0]
+	if cerr != nil {
+		return cerr
+	}
+	return err
+}
+
+// commit journals, mirrors and publishes one step's committed transitions.
+func (s *synchronizer) commit(entity, to string) error {
+	am := s.am
+	if len(s.commits) == 0 {
+		return nil
+	}
+	if am.jrn != nil || am.cfg.StateStore != nil {
+		for _, c := range s.commits {
+			uid := c.uid()
+			if am.jrn != nil {
+				rec := msgcodec.FormatBinary.EncodeStateRec(entity, uid, to)
+				if _, err := am.jrn.AppendRaw("state", rec); err != nil {
+					return err
 				}
 			}
 			// The statedb mirror feeds durable-mode snapshots; a mirror miss
 			// would snapshot stale state, so its failure rejects the frame
 			// exactly like a journal or state-store failure.
-			if s.am.mirror != nil {
-				if derr := s.am.mirror.SaveState(req.Entity, c.uid, req.Target); derr != nil {
-					return stateAck{OK: false, Err: derr.Error()}
+			if am.mirror != nil {
+				if err := am.mirror.SaveState(entity, uid, to); err != nil {
+					return err
 				}
 			}
-			if s.am.cfg.StateStore != nil {
-				if derr := s.am.cfg.StateStore.SaveState(req.Entity, c.uid, req.Target); derr != nil {
-					return stateAck{OK: false, Err: derr.Error()}
+			if am.cfg.StateStore != nil {
+				if err := am.cfg.StateStore.SaveState(entity, uid, to); err != nil {
+					return err
 				}
 			}
 		}
-		if len(commits) > 0 {
-			// Snapshot hook: runs on the synchronizer goroutine — the sole
-			// journal writer — so the watermark it reads bounds exactly the
-			// records committed so far.
-			s.am.maybeSnapshot(len(commits))
+		// Snapshot hook: runs on the synchronizer goroutine — the sole
+		// journal writer — so the watermark it reads bounds exactly the
+		// records committed so far.
+		am.maybeSnapshot(len(s.commits))
+	}
+	if am.eventsActive() {
+		for _, c := range s.commits {
+			c.emit(am, c.from, to)
 		}
 	}
-	if s.am.eventsActive() {
-		for _, c := range commits {
-			switch {
-			case c.task != nil:
-				s.am.emitTask(c.task, TaskState(c.from), TaskState(req.Target))
-			case c.stage != nil:
-				s.am.emitStage(c.stage, StageState(c.from), StageState(req.Target))
-			case c.pipe != nil:
-				s.am.emitPipeline(c.pipe, PipelineState(c.from), PipelineState(req.Target))
-			}
-		}
+	return nil
+}
+
+func (r ref) uid() string {
+	switch {
+	case r.task != nil:
+		return r.task.UID
+	case r.stage != nil:
+		return r.stage.UID
 	}
-	return stateAck{OK: true}
+	return r.pipe.UID
+}
+
+func (r ref) state() string {
+	switch {
+	case r.task != nil:
+		return string(r.task.State())
+	case r.stage != nil:
+		return string(r.stage.State())
+	}
+	return string(r.pipe.State())
+}
+
+// skip reports whether a step from one state to another is absorbed as a
+// silent no-op (see taskSkip, stageSkip and pipelineSkip).
+func (r ref) skip(from, to string) bool {
+	switch {
+	case r.task != nil:
+		return taskSkip(TaskState(from), TaskState(to))
+	case r.stage != nil:
+		return stageSkip(StageState(from), StageState(to))
+	}
+	return pipelineSkip(PipelineState(from), PipelineState(to))
+}
+
+// legal reports whether the entity's state machine allows the step.
+func (r ref) legal(from, to string) bool {
+	switch {
+	case r.task != nil:
+		return legalTask(TaskState(from), TaskState(to))
+	case r.stage != nil:
+		return legalStage(StageState(from), StageState(to))
+	}
+	return legalPipeline(PipelineState(from), PipelineState(to))
+}
+
+func (r ref) advance(to string) error {
+	switch {
+	case r.task != nil:
+		return r.task.advance(TaskState(to))
+	case r.stage != nil:
+		return r.stage.advance(StageState(to))
+	}
+	return r.pipe.advance(PipelineState(to))
+}
+
+func (r ref) emit(am *AppManager, from, to string) {
+	switch {
+	case r.task != nil:
+		am.emitTask(r.task, TaskState(from), TaskState(to))
+	case r.stage != nil:
+		am.emitStage(r.stage, StageState(from), StageState(to))
+	default:
+		am.emitPipeline(r.pipe, PipelineState(from), PipelineState(to))
+	}
 }
 
 // trackActivity maintains the count of concurrently managed tasks used for
@@ -283,6 +401,10 @@ type syncClient struct {
 	cons  *broker.Consumer
 	seq   uint64
 	reqs  []stateRequest // frame under construction (reused across frames)
+	// uids backs the frame's UID lists (reused across frames). A request's
+	// list stays valid when a later append moves the backing array: the
+	// old array is left as it was until begin starts the next frame.
+	uids []string
 }
 
 func newSyncClient(am *AppManager, replyQueue string) (*syncClient, error) {
@@ -303,33 +425,36 @@ func (c *syncClient) close() {
 }
 
 // begin starts a fresh frame.
-func (c *syncClient) begin() { c.reqs = c.reqs[:0] }
+func (c *syncClient) begin() {
+	c.reqs = c.reqs[:0]
+	c.uids = c.uids[:0]
+}
 
 // add appends one transition request to the frame under construction.
 func (c *syncClient) add(req stateRequest) { c.reqs = append(c.reqs, req) }
 
-// addTask appends a single-entity task transition.
-func (c *syncClient) addTask(t *Task, to TaskState) {
-	c.add(stateRequest{Entity: "task", UID: t.UID, Target: string(to)})
+// addTasks appends one request moving every task in ts along path. An empty
+// batch contributes nothing to the frame.
+func (c *syncClient) addTasks(ts []*Task, path ...TaskState) {
+	c.addTaskResult(ts, 0, "", path...)
 }
 
-// addTaskBatch appends one transition applied to many tasks. An empty batch
-// contributes nothing to the frame.
-func (c *syncClient) addTaskBatch(ts []*Task, to TaskState) {
+// addTaskResult appends one request moving every task in ts along path,
+// piggybacking result metadata.
+func (c *syncClient) addTaskResult(ts []*Task, exitCode int, execErr string, path ...TaskState) {
 	if len(ts) == 0 {
 		return
 	}
-	uids := make([]string, len(ts))
-	for i, t := range ts {
-		uids[i] = t.UID
+	base := len(c.uids)
+	for _, t := range ts {
+		c.uids = append(c.uids, t.UID)
 	}
-	c.add(stateRequest{Entity: "task", UIDs: uids, Target: string(to)})
-}
-
-// addTaskResult appends a task transition piggybacking result metadata.
-func (c *syncClient) addTaskResult(t *Task, to TaskState, exitCode int, execErr string) {
+	steps := make([]string, len(path))
+	for i, to := range path {
+		steps[i] = string(to)
+	}
 	c.add(stateRequest{
-		Entity: "task", UID: t.UID, Target: string(to),
+		Entity: "task", UIDs: c.uids[base:len(c.uids):len(c.uids)], Path: steps,
 		ExitCode: exitCode, ExecErr: execErr,
 	})
 }
@@ -373,33 +498,21 @@ func (c *syncClient) request(req stateRequest) error {
 	return c.flush()
 }
 
-// Convenience wrappers for single-transition frames.
+// Convenience wrappers for single-request frames.
 
-func (c *syncClient) task(t *Task, to TaskState) error {
+// tasks moves every task in ts along path in a single frame.
+func (c *syncClient) tasks(ts []*Task, path ...TaskState) error {
 	c.begin()
-	c.addTask(t, to)
-	return c.flush()
-}
-
-// taskBatch applies one transition to many tasks in a single frame.
-func (c *syncClient) taskBatch(ts []*Task, to TaskState) error {
-	c.begin()
-	c.addTaskBatch(ts, to)
-	return c.flush()
-}
-
-func (c *syncClient) taskResult(t *Task, to TaskState, exitCode int, execErr string) error {
-	c.begin()
-	c.addTaskResult(t, to, exitCode, execErr)
+	c.addTasks(ts, path...)
 	return c.flush()
 }
 
 func (c *syncClient) stage(s *Stage, to StageState) error {
-	return c.request(stateRequest{Entity: "stage", UID: s.UID, Target: string(to)})
+	return c.request(stateRequest{Entity: "stage", UID: s.UID, Path: []string{string(to)}})
 }
 
 func (c *syncClient) pipeline(p *Pipeline, to PipelineState) error {
-	return c.request(stateRequest{Entity: "pipeline", UID: p.UID, Target: string(to)})
+	return c.request(stateRequest{Entity: "pipeline", UID: p.UID, Path: []string{string(to)}})
 }
 
 // recoverFromJournal replays the state journal, restoring DONE tasks so a

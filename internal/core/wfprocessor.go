@@ -182,12 +182,12 @@ func (w *wfProcessor) cancelUnstarted(p *Pipeline) error {
 				fresh = append(fresh, t)
 			}
 		}
-		w.enqSync.addTaskBatch(fresh, TaskCanceled)
+		w.enqSync.addTasks(fresh, TaskCanceled)
 		if s.State() == StageInitial {
-			w.enqSync.add(stateRequest{Entity: "stage", UID: s.UID, Target: string(StageCanceled)})
+			w.enqSync.add(stateRequest{Entity: "stage", UID: s.UID, Path: []string{string(StageCanceled)}})
 		}
 	}
-	w.enqSync.add(stateRequest{Entity: "pipeline", UID: p.UID, Target: string(PipelineCanceled)})
+	w.enqSync.add(stateRequest{Entity: "pipeline", UID: p.UID, Path: []string{string(PipelineCanceled)}})
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
@@ -209,16 +209,15 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			runnable = append(runnable, t)
 		} // otherwise recovered as DONE (or already processed)
 	}
-	// The stage transition and both bulk task transitions ride a single
-	// sync frame: scheduling a stage costs O(1) synchronization
-	// round-trips regardless of task count. Tasks must be in SCHEDULED
-	// before their pending messages become visible, or the Emgr can race
-	// past its transitions — the frame's ack guarantees all three commits
-	// precede the publish below.
+	// The stage transition and the tasks' SCHEDULING -> SCHEDULED path
+	// ride a single sync frame: scheduling a stage costs O(1)
+	// synchronization round-trips regardless of task count. Tasks must be
+	// in SCHEDULED before their pending messages become visible, or the
+	// Emgr can race past its transitions — the frame's ack guarantees every
+	// commit precedes the publish below.
 	w.enqSync.begin()
-	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Target: string(StageScheduling)})
-	w.enqSync.addTaskBatch(runnable, TaskScheduling)
-	w.enqSync.addTaskBatch(runnable, TaskScheduled)
+	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Path: []string{string(StageScheduling)}})
+	w.enqSync.addTasks(runnable, TaskScheduling, TaskScheduled)
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
@@ -337,22 +336,19 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 	}
 
 	// The RTS reported these attempts finished: SUBMITTED -> EXECUTED, then
-	// the terminal state for this attempt. The whole drain's bulk
-	// transitions ride one sync frame — one round-trip however many tasks
+	// the terminal state for this attempt, as one path per outcome. The
+	// whole drain rides one sync frame — one round-trip however many tasks
 	// the batch settled; failures (rare) follow individually so exit codes
 	// and the resubmission policy stay per-task.
 	w.deqSync.begin()
-	w.deqSync.addTaskBatch(succeeded, TaskExecuted)
-	w.deqSync.addTaskBatch(succeeded, TaskDone)
-	w.deqSync.addTaskBatch(canceled, TaskExecuted)
-	w.deqSync.addTaskBatch(canceled, TaskCanceled)
+	w.deqSync.addTasks(succeeded, TaskExecuted, TaskDone)
+	w.deqSync.addTasks(canceled, TaskExecuted, TaskCanceled)
 	if err := w.deqSync.flush(); err != nil {
 		return err
 	}
 	for _, f := range failures {
 		w.deqSync.begin()
-		w.deqSync.addTaskResult(f.t, TaskExecuted, f.res.ExitCode, f.res.Error)
-		w.deqSync.addTask(f.t, TaskFailed)
+		w.deqSync.addTaskResult([]*Task{f.t}, f.res.ExitCode, f.res.Error, TaskExecuted, TaskFailed)
 		if err := w.deqSync.flush(); err != nil {
 			return err
 		}
@@ -409,10 +405,7 @@ func (w *wfProcessor) resubmit(t *Task) error {
 	if stage != nil && stage.State().Terminal() {
 		return nil // stage canceled (or settled) under us; retry is moot
 	}
-	w.deqSync.begin()
-	w.deqSync.addTask(t, TaskScheduling)
-	w.deqSync.addTask(t, TaskScheduled)
-	if err := w.deqSync.flush(); err != nil {
+	if err := w.deqSync.tasks([]*Task{t}, TaskScheduling, TaskScheduled); err != nil {
 		return err
 	}
 	return w.pendP.Publish(msgcodec.FormatBinary.EncodeTaskUID(t.UID))

@@ -114,11 +114,15 @@ type runEntry struct {
 	journal string // per-run journal directory ("" = none)
 	app     *appjson.App
 	lease   *rts.Lease
-	am      *core.AppManager
+	am      *core.AppManager // built at Submit, so a queued run is subscribable
 	run     *core.Run
-	err     error     // guarded by Daemon.mu once terminal
-	doneAt  time.Time // wall time the run turned terminal
-	doneCh  chan struct{}
+	// early holds subscriptions taken before the run started (guarded by
+	// Daemon.mu). They attach to am and see every event once it starts;
+	// a run that never starts closes them when it turns terminal.
+	early  []*core.EventSub
+	err    error     // guarded by Daemon.mu once terminal
+	doneAt time.Time // wall time the run turned terminal
+	doneCh chan struct{}
 }
 
 // Daemon hosts concurrent runs over shared infrastructure.
@@ -282,18 +286,11 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 		return "", fmt.Errorf("%w: claim of %d cores exceeds the shared pilot's %d",
 			ErrAdmissionRejected, claim, d.pool.PhysicalCores())
 	}
-	var jdir string
-	if journal {
-		if d.cfg.JournalRoot == "" {
-			return "", errors.New("daemon: journaled run requested but no JournalRoot configured")
-		}
+	if journal && d.cfg.JournalRoot == "" {
+		return "", errors.New("daemon: journaled run requested but no JournalRoot configured")
 	}
 
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return "", errors.New("daemon: stopped")
-	}
 	d.nextID++
 	e := &runEntry{
 		id:     fmt.Sprintf("run.%04d", d.nextID),
@@ -302,9 +299,18 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 		app:    app,
 		doneCh: make(chan struct{}),
 	}
+	d.mu.Unlock()
 	if journal {
-		jdir = filepath.Join(d.cfg.JournalRoot, e.id)
-		e.journal = jdir
+		e.journal = filepath.Join(d.cfg.JournalRoot, e.id)
+	}
+	if e.am, err = d.buildRun(e); err != nil {
+		return "", err
+	}
+
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return "", errors.New("daemon: stopped")
 	}
 	lease, err := d.pool.Admit(rts.LeaseSpec{RunID: e.id, Tenant: tenant, Cores: claim, GPUs: app.Resource.GPUs})
 	switch {
@@ -338,18 +344,12 @@ func (d *Daemon) Submit(tenant string, journal bool, appJSON []byte) (string, er
 	return e.id, nil
 }
 
-// startRun builds the run-scoped AppManager over the shared broker and the
-// admitted lease, and launches it. On failure the lease is released and the
-// run turns FAILED.
-func (d *Daemon) startRun(e *runEntry) error {
-	fail := func(err error) error {
-		e.lease.Stop() //nolint:errcheck // Lease.Stop never fails
-		d.finishRun(e, StateFailed, err)
-		return err
-	}
+// buildRun builds the run-scoped AppManager over the shared broker. Its RTS
+// is the lease the run holds once admitted.
+func (d *Daemon) buildRun(e *runEntry) (*core.AppManager, error) {
 	pipes, _, err := e.app.Build()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	am, err := core.NewAppManager(core.Config{
 		Clock:            d.clock,
@@ -365,7 +365,7 @@ func (d *Daemon) startRun(e *runEntry) error {
 		SchedulerWorkers: d.cfg.SchedulerWorkers,
 	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	am.SetResource(core.ResourceDesc{
 		Resource: d.cfg.Resource,
@@ -373,23 +373,30 @@ func (d *Daemon) startRun(e *runEntry) error {
 		GPUs:     e.app.Resource.GPUs,
 		Walltime: time.Duration(e.app.Resource.WalltimeS) * time.Second,
 	})
-	lease := e.lease
 	var issued atomic.Bool
 	am.SetRTSFactory(func(core.ResourceDesc) (core.RTS, error) {
 		if !issued.CompareAndSwap(false, true) {
 			return nil, errors.New("daemon: pool lease is single-issue (no RTS restarts)")
 		}
-		return lease, nil
+		return e.lease, nil
 	})
 	if err := am.AddPipelines(pipes...); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	run, err := am.Start(context.Background())
+	return am, nil
+}
+
+// startRun launches an admitted run on its lease. On failure the lease is
+// released and the run turns FAILED.
+func (d *Daemon) startRun(e *runEntry) error {
+	lease := e.lease
+	run, err := e.am.Start(context.Background())
 	if err != nil {
-		return fail(err)
+		lease.Stop() //nolint:errcheck // Lease.Stop never fails
+		d.finishRun(e, StateFailed, err)
+		return err
 	}
 	d.mu.Lock()
-	e.am = am
 	e.run = run
 	d.mu.Unlock()
 
@@ -414,16 +421,28 @@ func (d *Daemon) startRun(e *runEntry) error {
 // finishRun records a run's terminal state and wakes admission waiters.
 func (d *Daemon) finishRun(e *runEntry, state string, err error) {
 	d.mu.Lock()
-	if e.state == StateDone || e.state == StateFailed || e.state == StateCanceled {
+	if terminal(e.state) {
 		d.mu.Unlock()
 		return
 	}
 	e.state = state
 	e.err = err
 	e.doneAt = time.Now()
+	if e.run == nil {
+		// Never started: no event will come, so end the early streams.
+		for _, sub := range e.early {
+			sub.Close()
+		}
+	}
+	e.early = nil
 	d.mu.Unlock()
 	close(e.doneCh)
 	d.kick()
+}
+
+// terminal reports whether a run state is final.
+func terminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
 func (d *Daemon) kick() {
@@ -499,11 +518,11 @@ func (d *Daemon) reconcile() {
 	keep := d.order[:0]
 	for _, id := range d.order {
 		e := d.runs[id]
-		terminal := e.state == StateDone || e.state == StateFailed || e.state == StateCanceled
-		if terminal && e.lease != nil && e.lease.Alive() {
+		done := terminal(e.state)
+		if done && e.lease != nil && e.lease.Alive() {
 			revoke = append(revoke, e.lease)
 		}
-		if terminal && now.Sub(e.doneAt) > d.cfg.RunRetention {
+		if done && now.Sub(e.doneAt) > d.cfg.RunRetention {
 			delete(d.runs, id)
 			continue
 		}
@@ -629,36 +648,36 @@ func (d *Daemon) Resume(id, pipelineUID string) error {
 	return run.Resume(pipelineUID)
 }
 
-// Subscribe attaches an event subscription to a running run.
+// Subscribe attaches an event subscription to a run in any state. A
+// subscription taken while the run is queued attaches before its
+// AppManager starts and so sees every event; one taken later sees the
+// events from that point on. The stream ends when the run finishes (at
+// once for a run that already has).
 func (d *Daemon) Subscribe(id string, f core.EventFilter) (*core.EventSub, error) {
-	am, _, err := d.liveAM(id)
-	if err != nil {
-		return nil, err
-	}
-	return am.Subscribe(f), nil
-}
-
-// Snapshot returns a running run's progress view.
-func (d *Daemon) Snapshot(id string) (core.Progress, error) {
-	am, _, err := d.liveAM(id)
-	if err != nil {
-		return core.Progress{}, err
-	}
-	return am.Snapshot(), nil
-}
-
-// liveAM resolves a run whose AppManager exists (it has started executing).
-func (d *Daemon) liveAM(id string) (*core.AppManager, *runEntry, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, ok := d.runs[id]
 	if !ok {
-		return nil, nil, fmt.Errorf("daemon: unknown run %s", id)
+		return nil, fmt.Errorf("daemon: unknown run %s", id)
 	}
-	if e.am == nil {
-		return nil, nil, fmt.Errorf("daemon: run %s has not started (state %s)", id, e.state)
+	sub := e.am.Subscribe(f)
+	if e.run == nil {
+		if terminal(e.state) {
+			sub.Close() // never started and never will
+		} else {
+			e.early = append(e.early, sub)
+		}
 	}
-	return e.am, e, nil
+	return sub, nil
+}
+
+// Snapshot returns a running run's progress view.
+func (d *Daemon) Snapshot(id string) (core.Progress, error) {
+	run, err := d.liveRun(id)
+	if err != nil {
+		return core.Progress{}, err
+	}
+	return run.Snapshot(), nil
 }
 
 func (d *Daemon) liveRun(id string) (*core.Run, error) {

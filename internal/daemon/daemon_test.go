@@ -67,12 +67,24 @@ func waitState(t *testing.T, d *Daemon, id, want string) {
 	t.Fatalf("run %s never reached %s (state %s, err %q)", id, want, info.State, info.Err)
 }
 
+// holdTask is a task duration (virtual ms, ~50 ms of wall time at the test
+// time scale) long enough that a blocker run's tasks are still in flight
+// when the test has queued the runs it measures behind it.
+const holdTask = 50_000_000
+
 // Two concurrent runs with byte-identical applications — same structural
 // UIDs, same queue basenames — must not leak messages or events across each
 // other, and must finish independently.
 func TestDaemonMultiRunIsolation(t *testing.T) {
 	d := newTestDaemon(t, nil)
 	const tasks = 12
+	// A blocker claims the whole pilot, so both runs queue. A subscription
+	// to a queued run attaches before its AppManager starts and sees every
+	// event, however fast the run then finishes.
+	blocker, err := d.Submit("carol", false, testApp(8, 1, 1, holdTask))
+	if err != nil {
+		t.Fatal(err)
+	}
 	idA, err := d.Submit("alice", false, testApp(4, 1, tasks, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -81,12 +93,17 @@ func TestDaemonMultiRunIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waitState(t, d, idA, StateQueued)
+	waitState(t, d, idB, StateQueued)
 	subA, err := d.Subscribe(idA, core.EventFilter{Kinds: []core.EventKind{core.EventTask}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	subB, err := d.Subscribe(idB, core.EventFilter{Kinds: []core.EventKind{core.EventTask}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Cancel(blocker, "admit the measured runs"); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Wait(context.Background(), idA); err != nil {
@@ -118,6 +135,21 @@ func TestDaemonMultiRunIsolation(t *testing.T) {
 	if claimed := d.PoolClaimed(); claimed != 0 {
 		t.Fatalf("claimed cores after both runs: %d", claimed)
 	}
+}
+
+// waitDispatched polls the pool until a tenant has had n tasks dispatched.
+func waitDispatched(t *testing.T, d *Daemon, tenant string, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		for _, ts := range d.TenantSnapshot() {
+			if ts.Tenant == tenant && ts.Dispatched >= n {
+				return
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("tenant %s never reached %d dispatches", tenant, n)
 }
 
 // waitPipelineState polls a run's snapshot until its named pipeline reports
@@ -260,12 +292,26 @@ func TestDaemonWeightedFairness(t *testing.T) {
 			"light": {Weight: 1},
 		}
 	})
+	// Both runs must be backlogged before the pool dispatches either, or
+	// the first one admitted runs alone until the second starts. A
+	// blocker's tasks occupy every physical core; heavy is admitted beside
+	// it and light queues until the blocker is canceled. Its tasks stay in
+	// flight a while longer, and by then both backlogs wait in the pool.
+	blocker, err := d.Submit("carol", false, testApp(4, 1, 4, holdTask))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDispatched(t, d, "carol", 4)
 	h, err := d.Submit("heavy", false, testApp(4, 1, 60, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	l, err := d.Submit("light", false, testApp(4, 1, 60, 20))
 	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, d, l, StateQueued)
+	if err := d.Cancel(blocker, "admit the measured runs"); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Wait(context.Background(), h); err != nil {
@@ -288,7 +334,12 @@ func TestDaemonWeightedFairness(t *testing.T) {
 	}
 	// Measure the ratio over an early window where both tenants still had
 	// backlog (the tail degenerates to whichever has tasks left).
-	trace := d.DispatchTrace()
+	var trace []string
+	for _, tn := range d.DispatchTrace() {
+		if tn != "carol" {
+			trace = append(trace, tn)
+		}
+	}
 	if len(trace) < 40 {
 		t.Fatalf("dispatch trace too short: %d", len(trace))
 	}

@@ -70,12 +70,19 @@ func TestEncodeSingle(t *testing.T) {
 func TestSyncFrameRoundTrip(t *testing.T) {
 	frames := []SyncFrame{
 		{Reply: "sync-ack-enq", Seq: 7, Reqs: []SyncRequest{
-			{Entity: "stage", UID: "stage.0001", Target: "SCHEDULING"},
-			{Entity: "task", UIDs: []string{"t.1", "t.2", "t.3"}, Target: "SCHEDULING"},
-			{Entity: "task", UIDs: []string{"t.1", "t.2", "t.3"}, Target: "SCHEDULED"},
+			{Entity: "stage", UID: "stage.0001", Path: []string{"SCHEDULING"}},
+			{Entity: "task", UIDs: []string{"t.1", "t.2", "t.3"}, Path: []string{"SCHEDULING", "SCHEDULED"}},
+		}},
+		{Reply: "sync-ack-emgr", Seq: 2, Reqs: []SyncRequest{
+			{Entity: "task", UIDs: []string{"t.1", "t.2"}, Path: []string{"SUBMITTING", "SUBMITTED"}},
+			{Entity: "task", UIDs: []string{"t.3"}, Path: []string{"SUBMITTED"}},
 		}},
 		{Reply: "sync-ack-deq", Seq: 1, Reqs: []SyncRequest{
-			{Entity: "task", UID: "t.9", Target: "EXECUTED", ExitCode: -1, ExecErr: "rts failure"},
+			{Entity: "task", UIDs: []string{"t.9"}, Path: []string{"EXECUTED", "FAILED"}, ExitCode: -1, ExecErr: "rts failure"},
+			{Entity: "task", UID: "t.8", Path: []string{"EXECUTED", "FAILED", "SCHEDULING", "SCHEDULED"}},
+		}},
+		{Reply: "sync-ack-ctl", Seq: 3, Reqs: []SyncRequest{
+			{Entity: "pipeline", UID: "pipe.0001"}, // empty path: the Synchronizer rejects it, the codec carries it
 		}},
 		{Reply: "q", Seq: 0, Reqs: []SyncRequest{}},
 	}
@@ -266,7 +273,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(FormatBinary.EncodeTaskUIDs([]string{"task.1", "task.2"}))
 	f.Add([]byte(`{"task_uids":["task.1"]}`)) // legacy JSON body
 	f.Add(FormatBinary.EncodeSyncFrame(SyncFrame{Reply: "q", Seq: 3, Reqs: []SyncRequest{
-		{Entity: "task", UIDs: []string{"a", "b"}, Target: "DONE"}}}))
+		{Entity: "task", UIDs: []string{"a", "b"}, Path: []string{"DONE"}}}}))
+	f.Add(FormatBinary.EncodeSyncFrame(SyncFrame{Reply: "q", Seq: 4, Reqs: []SyncRequest{
+		{Entity: "stage", UID: "s", Path: []string{"SCHEDULING"}},
+		{Entity: "task", UIDs: []string{"a", "b"}, Path: []string{"EXECUTED", "DONE"}, ExitCode: 2, ExecErr: "x"}}}))
 	f.Add(FormatBinary.EncodeSyncAck(SyncAck{Seq: 9, OK: true}))
 	if b, err := FormatBinary.EncodeTaskResults([]TaskResult{{UID: "t", ExitCode: 1, Started: time.Unix(3, 4)}}); err == nil {
 		f.Add(b)

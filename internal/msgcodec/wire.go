@@ -151,14 +151,17 @@ func (r *reader) time() (time.Time, error) {
 
 // ---- synchronizer transition frames -------------------------------------
 
-// SyncRequest asks the Synchronizer for one state transition — of a single
-// entity, or (UIDs) the same transition applied to a batch of entities in
-// one request, EnTK's bulk state updates.
+// SyncRequest asks the Synchronizer to move one entity — or (UIDs) a batch
+// of entities, EnTK's bulk state updates — along an ordered transition
+// path: every entity takes Path[0], then every entity takes Path[1], and
+// so on. A path names its UID list once however many steps it has, so the
+// paired bulk transitions (SCHEDULING then SCHEDULED, SUBMITTING then
+// SUBMITTED, EXECUTED then DONE) cost one list, not two.
 type SyncRequest struct {
 	Entity string // "task" | "stage" | "pipeline"
 	UID    string
 	UIDs   []string
-	Target string
+	Path   []string // target states, applied in order
 	// Result metadata piggybacked on task transitions.
 	ExitCode int
 	ExecErr  string
@@ -194,7 +197,10 @@ func (Format) EncodeSyncFrame(fr SyncFrame) []byte {
 	for i := range fr.Reqs {
 		req := &fr.Reqs[i]
 		buf = appendString(buf, req.Entity)
-		buf = appendString(buf, req.Target)
+		buf = appendUvarint(buf, uint64(len(req.Path)))
+		for _, to := range req.Path {
+			buf = appendString(buf, to)
+		}
 		buf = appendString(buf, req.UID)
 		buf = appendUvarint(buf, uint64(len(req.UIDs)))
 		for _, uid := range req.UIDs {
@@ -229,8 +235,17 @@ func DecodeSyncFrame(body []byte) (SyncFrame, error) {
 		if req.Entity, err = r.str(); err != nil {
 			return SyncFrame{}, err
 		}
-		if req.Target, err = r.str(); err != nil {
+		steps, err := r.count()
+		if err != nil {
 			return SyncFrame{}, err
+		}
+		if steps > 0 {
+			req.Path = make([]string, steps)
+			for k := range req.Path {
+				if req.Path[k], err = r.str(); err != nil {
+					return SyncFrame{}, err
+				}
+			}
 		}
 		if req.UID, err = r.str(); err != nil {
 			return SyncFrame{}, err

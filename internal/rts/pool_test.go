@@ -156,13 +156,33 @@ func TestPoolAdmissionLedger(t *testing.T) {
 func TestPoolWeightedFairDispatch(t *testing.T) {
 	p := newPoolHarness(t, func(cfg *PoolConfig) {
 		cfg.Base.Resource.Cores = 4
-		cfg.MaxClaimFactor = 2
+		cfg.MaxClaimFactor = 3
 		cfg.TraceDispatch = true
 		cfg.Tenants = map[string]TenantLimits{
 			"heavy": {Weight: 3},
 			"light": {Weight: 1},
 		}
 	})
+	// Both tenants must be backlogged before either dispatches, or the
+	// first to submit runs alone until the second does. A blocker's tasks
+	// (~50 ms of wall time each) hold every physical core while both
+	// submit; once they finish, the stride scheduler serves both backlogs.
+	b, err := p.Admit(LeaseSpec{RunID: "rb", Tenant: "blocker", Cores: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hold []core.TaskDescription
+	for i := 0; i < 4; i++ {
+		hold = append(hold, sleepTask("b-"+time.Duration(i).String(), 50_000*time.Second, 1))
+	}
+	if err := b.Submit(hold); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !blockerDispatched(p, len(hold)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker tasks never dispatched")
+		}
+	}
 	h, err := p.Admit(LeaseSpec{RunID: "rh", Tenant: "heavy", Cores: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -185,10 +205,16 @@ func TestPoolWeightedFairDispatch(t *testing.T) {
 	if err := l.Submit(mk("l")); err != nil {
 		t.Fatal(err)
 	}
+	drainLease(t, b, len(hold))
 	drainLease(t, h, n)
 	drainLease(t, l, n)
 
-	trace := p.DispatchTrace()
+	var trace []string
+	for _, tn := range p.DispatchTrace() {
+		if tn != "blocker" {
+			trace = append(trace, tn)
+		}
+	}
 	if len(trace) != 2*n {
 		t.Fatalf("trace length %d, want %d", len(trace), 2*n)
 	}
@@ -205,6 +231,17 @@ func TestPoolWeightedFairDispatch(t *testing.T) {
 	if ratio < 2.0 || ratio > 4.5 {
 		t.Fatalf("dispatch ratio %.2f (heavy=%d light=%d), want ~3:1", ratio, heavy, light)
 	}
+}
+
+// blockerDispatched reports whether the "blocker" tenant has had n tasks
+// dispatched.
+func blockerDispatched(p *Pool, n int) bool {
+	for _, ts := range p.TenantSnapshot() {
+		if ts.Tenant == "blocker" {
+			return ts.Dispatched >= uint64(n)
+		}
+	}
+	return false
 }
 
 // A revoked lease flips Alive and returns its claim; queued-but-undispatched
