@@ -447,6 +447,22 @@ func (am *AppManager) RTSRestarts() int {
 func (am *AppManager) registerEntities() error {
 	am.mu.Lock()
 	defer am.mu.Unlock()
+	// Size the still-empty indexes once from the description, so a large
+	// application is indexed without growing them step by step.
+	nStages, nTasks := 0, 0
+	for _, p := range am.pipelines {
+		nStages += p.StageCount()
+		nTasks += p.TaskCount()
+	}
+	if len(am.pipes) == 0 {
+		am.pipes = make(map[string]*Pipeline, len(am.pipelines))
+	}
+	if len(am.stages) == 0 {
+		am.stages = make(map[string]*Stage, nStages)
+	}
+	if len(am.tasks) == 0 {
+		am.tasks = make(map[string]*Task, nTasks)
+	}
 	for _, p := range am.pipelines {
 		if _, dup := am.pipes[p.UID]; dup {
 			return fmt.Errorf("core: duplicate pipeline UID %s", p.UID)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -100,6 +101,141 @@ func TestStageTasksTerminal(t *testing.T) {
 	all, failed, canceled = s.tasksTerminal()
 	if !all || !failed || canceled {
 		t.Fatalf("terminal=%v failed=%v canceled=%v", all, failed, canceled)
+	}
+}
+
+// scanCounts is the reference for the stage's class counters: its tasks
+// counted by class from their own states.
+func scanCounts(s *Stage) (open, failed, canceled int64) {
+	for _, t := range s.Tasks() {
+		switch t.State() {
+		case TaskDone:
+		case TaskFailed:
+			failed++
+		case TaskCanceled:
+			canceled++
+		default:
+			open++
+		}
+	}
+	return open, failed, canceled
+}
+
+// checkCounts fails the test unless the stage's class counters match a scan
+// of its tasks and tasksTerminal reports want (all, failed, canceled).
+func checkCounts(t *testing.T, s *Stage, want [3]bool) {
+	t.Helper()
+	o, f, c := scanCounts(s)
+	if s.open.Load() != o || s.failed.Load() != f || s.canceled.Load() != c {
+		t.Fatalf("counters open=%d failed=%d canceled=%d, scan %d/%d/%d",
+			s.open.Load(), s.failed.Load(), s.canceled.Load(), o, f, c)
+	}
+	all, failed, canceled := s.tasksTerminal()
+	if got := [3]bool{all, failed, canceled}; got != want {
+		t.Fatalf("tasksTerminal = %v, want %v", got, want)
+	}
+}
+
+// walk advances a task along path, failing the test on an illegal step.
+func walk(t *testing.T, task *Task, path ...TaskState) {
+	t.Helper()
+	for _, to := range path {
+		if err := task.advance(to); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStageClassCounts pins tasksTerminal's O(1) counters to the tasks'
+// states through completion, resubmission, cancellation of a failed task
+// and journal recovery.
+func TestStageClassCounts(t *testing.T) {
+	inFlight := []TaskState{TaskScheduling, TaskScheduled, TaskSubmitting, TaskSubmitted, TaskExecuted}
+	stage := func(n int) (*Stage, []*Task) {
+		s := NewStage("s")
+		ts := make([]*Task, n)
+		for i := range ts {
+			ts[i] = validTask("t")
+		}
+		if err := s.AddTasks(ts...); err != nil {
+			t.Fatal(err)
+		}
+		return s, ts
+	}
+	t.Run("done", func(t *testing.T) {
+		s, ts := stage(2)
+		checkCounts(t, s, [3]bool{false, false, false})
+		walk(t, ts[0], append(inFlight, TaskDone)...)
+		checkCounts(t, s, [3]bool{false, false, false})
+		walk(t, ts[1], append(inFlight, TaskDone)...)
+		checkCounts(t, s, [3]bool{true, false, false})
+	})
+	t.Run("failed-resubmitted", func(t *testing.T) {
+		s, ts := stage(2)
+		walk(t, ts[0], append(inFlight, TaskDone)...)
+		walk(t, ts[1], append(inFlight, TaskFailed)...)
+		checkCounts(t, s, [3]bool{true, true, false})
+		walk(t, ts[1], TaskScheduling)
+		checkCounts(t, s, [3]bool{false, false, false})
+		walk(t, ts[1], append(inFlight[1:], TaskDone)...)
+		checkCounts(t, s, [3]bool{true, false, false})
+	})
+	t.Run("failed-canceled", func(t *testing.T) {
+		s, ts := stage(2)
+		walk(t, ts[0], TaskCanceled)
+		walk(t, ts[1], append(inFlight, TaskFailed, TaskCanceled)...)
+		checkCounts(t, s, [3]bool{true, false, true})
+	})
+	t.Run("recovery", func(t *testing.T) {
+		s, ts := stage(3)
+		ts[0].forceState(TaskDone)
+		ts[1].forceState(TaskDone)
+		checkCounts(t, s, [3]bool{false, false, false})
+		ts[2].forceState(TaskDone)
+		ts[2].forceState(TaskDone) // a repeated restore stays counted once
+		checkCounts(t, s, [3]bool{true, false, false})
+	})
+	t.Run("added-terminal", func(t *testing.T) {
+		done := validTask("t")
+		done.forceState(TaskDone)
+		failed := validTask("t")
+		failed.forceState(TaskFailed)
+		s := NewStage("s")
+		if err := s.AddTasks(done, failed); err != nil {
+			t.Fatal(err)
+		}
+		checkCounts(t, s, [3]bool{true, true, false})
+	})
+}
+
+// TestStageClassCountsRandomWalk drives random transition requests (and
+// the occasional forced state) against a stage's tasks and checks the
+// counters against a scan after every move.
+func TestStageClassCountsRandomWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewStage("s")
+	ts := make([]*Task, 6)
+	for i := range ts {
+		ts[i] = validTask("t")
+		if err := s.AddTask(ts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		task := ts[rng.Intn(len(ts))]
+		to := allTaskStates[rng.Intn(len(allTaskStates))]
+		if rng.Intn(10) == 0 {
+			task.forceState(to)
+		} else {
+			task.advance(to) //nolint:errcheck // illegal moves are part of the walk
+		}
+		o, f, c := scanCounts(s)
+		all, failed, canceled := s.tasksTerminal()
+		if s.open.Load() != o || s.failed.Load() != f || s.canceled.Load() != c ||
+			all != (o == 0) || failed != (f > 0) || canceled != (c > 0) {
+			t.Fatalf("move %d: counters %d/%d/%d (%v %v %v), scan %d/%d/%d",
+				i, s.open.Load(), s.failed.Load(), s.canceled.Load(), all, failed, canceled, o, f, c)
+		}
 	}
 }
 

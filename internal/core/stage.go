@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Stage is "a set of tasks without mutual dependences and that can be
@@ -22,6 +23,13 @@ type Stage struct {
 	tasks       []*Task
 	state       StageState
 	pipelineUID string
+
+	// open, failed and canceled count the stage's tasks by state class —
+	// not yet terminal, FAILED, CANCELED; DONE tasks are the remainder —
+	// so tasksTerminal costs three loads however large the stage. AddTask
+	// counts a task in, and the task's advance and forceState move it
+	// between classes, touching a counter only when its class changes.
+	open, failed, canceled atomic.Int64
 }
 
 // NewStage returns an empty stage in the initial state.
@@ -41,6 +49,12 @@ func (s *Stage) AddTask(t *Task) error {
 	if s.state != StageInitial && s.state != "" {
 		return fmt.Errorf("core: cannot add task to stage %s in state %s", s.UID, s.state)
 	}
+	t.mu.Lock()
+	t.stage = s
+	if c := s.classCounter(t.state); c != nil {
+		c.Add(1)
+	}
+	t.mu.Unlock()
 	s.tasks = append(s.tasks, t)
 	return nil
 }
@@ -116,22 +130,50 @@ func (s *Stage) setParent(uid string) {
 
 // tasksTerminal reports whether every task has reached a terminal state and
 // whether any ended FAILED or CANCELED.
+//
+// The counters are read without a lock while the Synchronizer moves tasks.
+// recount counts a task's new class before it releases the old one, and
+// open is loaded on both sides of the other two: a task leaving open is
+// already counted FAILED or CANCELED when the first load sees it gone, and
+// a task re-entering open (resubmission) is still counted FAILED when the
+// second load misses it. Either way the answer is one the stage's tasks
+// really were in.
 func (s *Stage) tasksTerminal() (allTerminal bool, anyFailed, anyCanceled bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	allTerminal = true
-	for _, t := range s.tasks {
-		switch t.State() {
-		case TaskDone:
-		case TaskFailed:
-			anyFailed = true
-		case TaskCanceled:
-			anyCanceled = true
-		default:
-			allTerminal = false
-		}
-	}
+	open := s.open.Load()
+	anyFailed = s.failed.Load() > 0
+	anyCanceled = s.canceled.Load() > 0
+	allTerminal = open == 0 && s.open.Load() == 0
 	return allTerminal, anyFailed, anyCanceled
+}
+
+// classCounter returns the counter of a task state's class, or nil for
+// DONE, which is counted as the remainder.
+func (s *Stage) classCounter(st TaskState) *atomic.Int64 {
+	switch st {
+	case TaskDone:
+		return nil
+	case TaskFailed:
+		return &s.failed
+	case TaskCanceled:
+		return &s.canceled
+	}
+	return &s.open
+}
+
+// recount moves one task from the class of state from to the class of state
+// to, doing nothing when the two share a class. The new class is counted
+// first (see tasksTerminal).
+func (s *Stage) recount(from, to TaskState) {
+	fc, tc := s.classCounter(from), s.classCounter(to)
+	if fc == tc {
+		return
+	}
+	if tc != nil {
+		tc.Add(1)
+	}
+	if fc != nil {
+		fc.Add(-1)
+	}
 }
 
 // Validate checks the stage description.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -173,5 +174,17 @@ func TestUIDsUnique(t *testing.T) {
 			t.Fatalf("duplicate uid %s", uid)
 		}
 		seen[uid] = true
+	}
+}
+
+// TestFormatUIDMatchesSprintf pins NewUID's rendering to the "%s.%06d" form
+// it has always had, across the six-digit padding boundary.
+func TestFormatUIDMatchesSprintf(t *testing.T) {
+	for _, n := range []uint64{1, 999999, 1000000, 12345678} {
+		for _, prefix := range []string{"task", "stage", ""} {
+			if got, want := formatUID(prefix, n), fmt.Sprintf("%s.%06d", prefix, n); got != want {
+				t.Fatalf("formatUID(%q, %d) = %q, want %q", prefix, n, got, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,8 +47,9 @@ type synchronizer struct {
 	wg       sync.WaitGroup
 
 	// Per-request scratch, owned by the synchronizer goroutine: reused
-	// across requests so a bulk request grows no buffer per task, and
-	// cleared after each one so it pins no entity between requests.
+	// across requests, and grown in one step to a wider request's size, so
+	// a bulk request grows no buffer per task; cleared after each request
+	// so it pins no entity between requests.
 	refs    []ref     // the request's entities, resolved once
 	commits []applied // one step's committed transitions
 }
@@ -72,7 +74,9 @@ func newSynchronizer(am *AppManager) *synchronizer {
 }
 
 func (s *synchronizer) start() error {
-	c, err := s.am.brk.Consume(s.am.qname(QueueStates), 64)
+	// Pull mode: the loop pops each frame itself, so a frame costs one
+	// goroutine wakeup here instead of a relay through a delivery loop.
+	c, err := s.am.brk.ConsumeBatch(s.am.qname(QueueStates), 1)
 	if err != nil {
 		return err
 	}
@@ -92,10 +96,17 @@ func (s *synchronizer) stop() {
 // loop drains the states queue one frame at a time. A frame carries every
 // transition request one component issued in one synchronization round-trip
 // (possibly several bulk requests), applied in order and answered with a
-// single ack — the O(1)-per-stage sync path.
+// single ack — the O(1)-per-stage sync path. Popping one frame per
+// ReceiveBatch keeps the broker's modelled traversal charged once per
+// frame. Cancellation (stop, broker close) surfaces as an error.
 func (s *synchronizer) loop() {
 	defer s.wg.Done()
-	for d := range s.consumer.Deliveries() {
+	for {
+		ds, err := s.consumer.ReceiveBatch(1)
+		if err != nil {
+			return
+		}
+		d := ds[0]
 		frame, err := msgcodec.DecodeSyncFrame(d.Body)
 		if err != nil {
 			d.Nack(false) //nolint:errcheck
@@ -203,6 +214,7 @@ func (s *synchronizer) applyPath(req *stateRequest) error {
 // resolve looks up every entity the request names, taking the AppManager
 // lock once per request rather than once per UID.
 func (s *synchronizer) resolve(req *stateRequest) error {
+	s.refs = slices.Grow(s.refs, len(req.UIDs))
 	am := s.am
 	am.mu.Lock()
 	defer am.mu.Unlock()
@@ -242,6 +254,7 @@ func (s *synchronizer) resolveLocked(entity, uid string) error {
 // advanced before it, so state, journal and events never disagree.
 func (s *synchronizer) step(req *stateRequest, to string) error {
 	var err error
+	s.commits = slices.Grow(s.commits, len(s.refs))
 	for _, r := range s.refs {
 		prev := r.state()
 		if r.skip(prev, to) {
@@ -401,17 +414,20 @@ type syncClient struct {
 	cons  *broker.Consumer
 	seq   uint64
 	reqs  []stateRequest // frame under construction (reused across frames)
-	// uids backs the frame's UID lists (reused across frames). A request's
-	// list stays valid when a later append moves the backing array: the
-	// old array is left as it was until begin starts the next frame.
+	// uids backs the frame's UID lists (reused across frames, grown once
+	// per request). A request's list stays valid when a later request
+	// moves the backing array: the old array is left as it was until begin
+	// starts the next frame.
 	uids []string
 }
 
 func newSyncClient(am *AppManager, replyQueue string) (*syncClient, error) {
 	// The reply queue name travels inside the frame, so it is stored (and
-	// consumed) fully namespaced; callers pass the bare Fig 2 name.
+	// consumed) fully namespaced; callers pass the bare Fig 2 name. Pull
+	// mode: flush pops the ack itself, with no relay goroutine between
+	// the Synchronizer's publish and the waiting component.
 	reply := am.qname(replyQueue)
-	c, err := am.brk.Consume(reply, 1)
+	c, err := am.brk.ConsumeBatch(reply, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -446,6 +462,7 @@ func (c *syncClient) addTaskResult(ts []*Task, exitCode int, execErr string, pat
 		return
 	}
 	base := len(c.uids)
+	c.uids = slices.Grow(c.uids, len(ts))
 	for _, t := range ts {
 		c.uids = append(c.uids, t.UID)
 	}
@@ -473,10 +490,11 @@ func (c *syncClient) flush() error {
 	if err := c.am.brk.Publish(c.am.qname(QueueStates), body); err != nil {
 		return err
 	}
-	d, ok := <-c.cons.Deliveries()
-	if !ok {
-		return broker.ErrClosed
+	ds, err := c.cons.ReceiveBatch(1)
+	if err != nil {
+		return err // broker.ErrClosed: the client was closed or the broker shut down
 	}
+	d := ds[0]
 	defer d.Ack() //nolint:errcheck
 	ack, err := msgcodec.DecodeSyncAck(d.Body)
 	if err != nil {

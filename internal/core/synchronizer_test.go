@@ -285,3 +285,51 @@ func TestApplyAllocsFlatInWidth(t *testing.T) {
 		t.Fatalf("apply allocates %.0f times over 64 UIDs but %.0f over 1024", narrow, wide)
 	}
 }
+
+// TestSyncFramesPerStage pins the states-queue traffic of a 1-task stage at
+// four frames: the Enqueue frame (stage SCHEDULING, the task's SCHEDULING
+// -> SCHEDULED, stage SCHEDULED), the Emgr's SUBMITTING -> SUBMITTED, the
+// Dequeue's EXECUTED -> DONE and the stage's DONE. PostExec runs right after
+// the stage's DONE commits, so consecutive stages' readings differ by
+// exactly one stage's frames; the broker is closed by teardown, which is
+// why the counter is read from the hook. The events must also show each
+// stage SCHEDULED before its task is SUBMITTING.
+func TestSyncFramesPerStage(t *testing.T) {
+	const nStages, want = 8, 4
+	am, _ := testApp(t, Config{})
+	pipes := buildApp(1, nStages, 1, time.Second)
+	published := make([]uint64, nStages)
+	for i, s := range pipes[0].Stages() {
+		s.PostExec = func() error {
+			st, err := am.Broker().Stats(am.qname(QueueStates))
+			published[i] = st.Published
+			return err
+		}
+	}
+	if err := am.AddPipelines(pipes...); err != nil {
+		t.Fatal(err)
+	}
+	sub := am.Subscribe(EventFilter{Buffer: 1 << 10})
+	got := drain(sub)
+	if err := startApp(t, am).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < nStages; i++ {
+		if d := published[i] - published[i-1]; d != want {
+			t.Fatalf("stage %d took %d states-queue frames, want %d (readings %v)", i, d, want, published)
+		}
+	}
+
+	scheduled := map[string]bool{} // stage UIDs whose SCHEDULED was seen
+	for _, ev := range <-got {
+		switch {
+		case ev.Kind == EventStage && ev.To == string(StageScheduled):
+			scheduled[ev.UID] = true
+		case ev.Kind == EventTask && ev.To == string(TaskSubmitting) && !scheduled[ev.Stage]:
+			t.Fatalf("task %s SUBMITTING before its stage %s was SCHEDULED", ev.UID, ev.Stage)
+		}
+	}
+	if len(scheduled) != nStages {
+		t.Fatalf("saw %d stage SCHEDULED events, want %d", len(scheduled), nStages)
+	}
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,8 +15,23 @@ var uidCounter uint64
 // NewUID returns a process-unique identifier with the given prefix, in the
 // style of RADICAL's "task.0001" identifiers.
 func NewUID(prefix string) string {
-	n := atomic.AddUint64(&uidCounter, 1)
-	return fmt.Sprintf("%s.%06d", prefix, n)
+	return formatUID(prefix, atomic.AddUint64(&uidCounter, 1))
+}
+
+// formatUID renders prefix.NNNNNN — n zero-padded to at least six digits,
+// exactly as fmt's "%s.%06d" would — in a single allocation.
+func formatUID(prefix string, n uint64) string {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	var b strings.Builder
+	b.Grow(len(prefix) + 1 + max(len(d), 6))
+	b.WriteString(prefix)
+	b.WriteByte('.')
+	for i := len(d); i < 6; i++ {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	return b.String()
 }
 
 // CPUReqs describes a task's CPU needs, mirroring EnTK's cpu_reqs dict.
@@ -126,6 +143,7 @@ type Task struct {
 	execErr      string
 	pipelineUID  string
 	stageUID     string
+	stage        *Stage // counts this task by state class (Stage.AddTask)
 }
 
 // NewTask returns a task in the initial state with a fresh UID. MaxRetries
@@ -169,7 +187,12 @@ func (t *Task) advance(to TaskState) error {
 	if !legalTask(from, to) {
 		return &TransitionError{Entity: "task", UID: t.UID, From: string(from), To: string(to)}
 	}
-	t.state = to
+	t.setStateLocked(to)
+	if t.stateHistory == nil {
+		// One allocation holds a first attempt's whole walk, DESCRIBED to
+		// DONE, instead of regrowing the history step by step.
+		t.stateHistory = make([]TaskState, 0, 6)
+	}
 	t.stateHistory = append(t.stateHistory, to)
 	if to == TaskScheduling {
 		t.attempts++
@@ -183,8 +206,18 @@ func (t *Task) advance(to TaskState) error {
 func (t *Task) forceState(s TaskState) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.state = s
+	t.setStateLocked(s)
 	t.stateHistory = append(t.stateHistory, s)
+}
+
+// setStateLocked records a new state and keeps the owning stage's class
+// counters current. t.mu must be held.
+func (t *Task) setStateLocked(s TaskState) {
+	from := t.state
+	t.state = s
+	if t.stage != nil {
+		t.stage.recount(from, s)
+	}
 }
 
 // Attempts returns how many times the task entered SCHEDULING.

@@ -38,6 +38,11 @@ type wfProcessor struct {
 	// uidScratch is the enqueue loop's reusable chunk buffer for pending
 	// message encoding (scheduleStage runs only on that goroutine).
 	uidScratch []string
+	// resUIDs and resTasks are the dequeue loop's reusable buffers for
+	// resolving one result message's UIDs (handleResultBatch runs only on
+	// that goroutine).
+	resUIDs  []string
+	resTasks []*Task
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -209,15 +214,18 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			runnable = append(runnable, t)
 		} // otherwise recovered as DONE (or already processed)
 	}
-	// The stage transition and the tasks' SCHEDULING -> SCHEDULED path
-	// ride a single sync frame: scheduling a stage costs O(1)
-	// synchronization round-trips regardless of task count. Tasks must be
-	// in SCHEDULED before their pending messages become visible, or the
-	// Emgr can race past its transitions — the frame's ack guarantees every
-	// commit precedes the publish below.
+	// The stage's SCHEDULING, the tasks' SCHEDULING -> SCHEDULED path and
+	// the stage's SCHEDULED ride a single sync frame, applied in that
+	// order: scheduling a stage costs one synchronization round-trip
+	// regardless of task count. Tasks must be in SCHEDULED before their
+	// pending messages become visible, or the Emgr can race past its
+	// transitions — the frame's ack guarantees every commit precedes the
+	// publish below, so the stage is SCHEDULED before any of its tasks is
+	// SUBMITTING.
 	w.enqSync.begin()
 	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Path: []string{string(StageScheduling)}})
 	w.enqSync.addTasks(runnable, TaskScheduling, TaskScheduled)
+	w.enqSync.add(stateRequest{Entity: "stage", UID: stage.UID, Path: []string{string(StageScheduled)}})
 	if err := w.enqSync.flush(); err != nil {
 		return err
 	}
@@ -246,15 +254,9 @@ func (w *wfProcessor) scheduleStage(p *Pipeline, stage *Stage) error {
 			return err
 		}
 	}
-	if err := w.enqSync.stage(stage, StageScheduled); err != nil {
-		return err
-	}
-	// Completion check under the stage's own sync client. This covers two
-	// cases: every task was already terminal before scheduling (journal
-	// recovery), and — the racier one — a fast Emgr/RTS/Dequeue chain
-	// finished every task while this stage was still SCHEDULING, in which
-	// case Dequeue deferred the completion to us (maybeCompleteStage skips
-	// stages the Enqueue transition still owns).
+	// Completion check under the stage's own sync client: a stage whose
+	// tasks were all terminal before scheduling (journal recovery) has no
+	// task left to run, so no Dequeue drain would ever complete it.
 	return w.maybeCompleteStage(p, stage, w.enqSync)
 }
 
@@ -302,9 +304,15 @@ func (w *wfProcessor) handleResultBatch(batch []*broker.Delivery) error {
 			drops = append(drops, d)
 			continue
 		}
+		// One registry lock resolves the whole message.
+		w.resUIDs = w.resUIDs[:0]
 		for _, res := range results {
-			t, ok := w.am.Task(res.UID)
-			if !ok {
+			w.resUIDs = append(w.resUIDs, res.UID)
+		}
+		w.resTasks = w.am.appendTasks(w.resTasks[:0], w.resUIDs)
+		for i, res := range results {
+			t := w.resTasks[i]
+			if t == nil {
 				broker.NackBatch(drops, false) //nolint:errcheck
 				broker.AckBatch(batch)         //nolint:errcheck
 				return fmt.Errorf("core: completion for unknown task %s", res.UID)
@@ -421,10 +429,11 @@ func (w *wfProcessor) maybeCompleteStage(p *Pipeline, stage *Stage, sc *syncClie
 		return nil
 	}
 	if stage.State() == StageScheduling {
-		// Enqueue published the stage's tasks but its SCHEDULED transition
-		// is still in flight; completing now would race it with an illegal
-		// SCHEDULING -> DONE. Enqueue re-runs this check right after the
-		// stage lands in SCHEDULED, so the completion is never lost.
+		// Defensive: the stage's SCHEDULED commits in the same frame as
+		// its SCHEDULING, before any task is published, so no Dequeue
+		// drain can observe this state. Completing here would be an
+		// illegal SCHEDULING -> DONE; Enqueue's own check after the frame
+		// covers the stage instead.
 		return nil
 	}
 	allTerminal, anyFailed, anyCanceled := stage.tasksTerminal()
